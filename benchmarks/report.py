@@ -111,7 +111,9 @@ def ex310() -> None:
         f"engine stats: patterns = {stats.get('implies.patterns')}, "
         f"chase-cache hits = {stats.get('implies.cache_hits')}, "
         f"misses = {stats.get('implies.cache_misses')} "
-        f"(second sweep re-chases nothing)"
+        f"(second sweep re-chases nothing), "
+        f"witness reuse = {stats.get('implies.witness_reuse')}, "
+        f"fallbacks = {stats.get('implies.witness_fallbacks')}"
     )
 
 

@@ -28,29 +28,27 @@ Engine-level accelerations on top of the paper's procedure:
   a frontier-ordered DAG in which every pattern with ``n > 1`` nodes is
   produced from a pattern with ``n - 1`` nodes by attaching one leaf (see
   ``docs/algorithms.md`` for why such a parent always exists), and each
-  pattern's canonical instances and chase are *extended* from its parent's
-  cached state by the delta the new leaf contributes, instead of being
-  rebuilt and re-chased from scratch.  Patterns are swept smallest first
-  (levels by node count, canonical order within a level -- exactly the
-  enumeration order of ``enumerate_k_patterns``), so counterexamples
-  short-circuit before the deep frontier is ever generated.
+  pattern's canonical instances, chase and homomorphism witness are
+  *extended* from its parent's state by the delta the new leaf contributes,
+  instead of being rebuilt, re-chased and re-solved from scratch (a full
+  search backs up a witness that does not extend).  Patterns are swept
+  smallest first (levels by node count, canonical order within a level --
+  exactly the enumeration order of ``enumerate_k_patterns``), so
+  counterexamples short-circuit before the deep frontier is ever generated.
 - a process-wide LRU **chase cache** keyed by (canonical source facts,
   Sigma fingerprint).  Chasing is deterministic, so two patterns (or two
   IMPLIES runs) whose canonical sources coincide share one chase.  Hits and
   misses are recorded in :mod:`repro.perf`; incremental extensions count as
   ``implies.sweep.incremental_hits``.
-- an optional **parallel pattern sweep** (``parallel=N``): the per-pattern
-  checks fan out over a ``multiprocessing`` fork pool in work-stealing index
-  chunks.  Workers receive only integer ranges -- the sweep spec (pattern
-  DAG or pattern list, Sigma, clause programs) is published once into a
-  :mod:`repro.cache.shm` shared-memory segment that each worker attaches
-  and deserializes once, so no pattern or instance is ever pickled per
-  task.  Workers rebuild chase states from the spec on demand with
-  worker-local memoization and return only (index, failed) flags.  The
-  first failing pattern *in enumeration order* is reported, with
-  diagnostics replayed deterministically in the parent, so the verdict,
-  ``patterns_checked``, and the counterexample agree exactly with the
-  serial sweep.
+- an optional **parallel pattern sweep** (``parallel=N``) for the
+  from-scratch sweep (the only sweep with source egds): the per-pattern
+  checks fan out over a ``multiprocessing`` fork pool in enumeration-order
+  chunks.  Workers receive only pattern indexes -- the sweep spec is
+  published once into a :mod:`repro.cache.shm` shared-memory segment that
+  each worker attaches and deserializes once, so no pattern is pickled per
+  task.  The first failing pattern *in enumeration order* is reported, so
+  the verdict, ``patterns_checked``, and the counterexample agree exactly
+  with the serial sweep.  The incremental sweep always runs serially.
 - optional **persistent tiers** (:mod:`repro.cache`, enabled by
   ``REPRO_CACHE_DIR`` or ``repro.cache.configure``): chase-cache misses
   consult a fingerprint-keyed on-disk store before chasing, every computed
@@ -272,19 +270,34 @@ def _disk_chase_put(
     disk_put(SPACE_CHASE, key, tuple(sorted(result.facts, key=repr)))
 
 
-def _cached_chase(source: Instance, lhs: Sequence, fingerprint: tuple[str, ...]) -> Instance:
-    key = (source.facts, fingerprint)
+def _chase_cache_get(source_facts: frozenset, fingerprint: tuple[str, ...]) -> Instance | None:
+    """Look a chase up in the LRU, then in the persistent tier; count a hit or miss."""
+    key = (source_facts, fingerprint)
     cached = _CHASE_CACHE.get(key)
     if cached is not None:
         _CHASE_CACHE.move_to_end(key)
         perf.incr("implies.cache_hits")
         return cached
     perf.incr("implies.cache_misses")
-    result = _disk_chase_get(source.facts, fingerprint)
+    disk_hit = _disk_chase_get(source_facts, fingerprint)
+    if disk_hit is not None:
+        _cache_store(key, disk_hit)
+    return disk_hit
+
+
+def _chase_cache_put(
+    source_facts: frozenset, fingerprint: tuple[str, ...], result: Instance
+) -> None:
+    """Record a computed chase in the persistent tier and the LRU."""
+    _disk_chase_put(source_facts, fingerprint, result)
+    _cache_store((source_facts, fingerprint), result)
+
+
+def _cached_chase(source: Instance, lhs: Sequence, fingerprint: tuple[str, ...]) -> Instance:
+    result = _chase_cache_get(source.facts, fingerprint)
     if result is None:
         result = chase(source, lhs)
-        _disk_chase_put(source.facts, fingerprint, result)
-    _cache_store(key, result)
+        _chase_cache_put(source.facts, fingerprint, result)
     return result
 
 
@@ -321,91 +334,53 @@ def _check_pattern(
 # ----------------------------------------------------- DAG-incremental sweep
 
 
-class _MirrorNode:
-    """A pattern node in attachment (insertion) order, with its assignment.
+class _GenNode:
+    """A node of a pattern's generation tree, in attachment (insertion) order.
 
     The canonical :class:`Pattern` keeps children sorted, which reshuffles
-    node positions as leaves are attached; the mirror tree preserves the
-    attachment order so that spec entries can address nodes by a stable
-    preorder index, and carries the per-node variable assignment the
-    canonical-instance delta of a new leaf inherits.  The generation trees
-    additionally cache each node's canonical subtree (``canon``) and parent
-    link, so a candidate attachment rebuilds canonical patterns only along
-    the root path instead of over the whole tree.
+    node positions as leaves are attached; a generation tree keeps the
+    attachment order and caches every node's canonical subtree (``canon``),
+    so a candidate attachment rebuilds canonical patterns only along the
+    root path instead of over the whole tree.  Generation trees are
+    persistent: a child pattern's tree shares every subtree of its parent's
+    tree except the new leaf's root path, which is copied.  A shared node
+    sits at one position per tree but under different ancestors, so nodes
+    carry no parent links; positions are addressed by ancestor chains
+    ``(parent, chain)`` ending in None at the root.  ``assignment`` is the
+    node's variable assignment, recorded by the sweep when it visits the
+    pattern that added the node; a leaf attached below inherits it.
     """
 
-    __slots__ = ("part_id", "assignment", "children", "parent", "canon")
+    __slots__ = ("part_id", "children", "canon", "assignment")
 
-    def __init__(self, part_id: int, assignment: dict | None, children: list):
+    def __init__(self, part_id: int, children: tuple = (), assignment: dict | None = None):
         self.part_id = part_id
-        self.assignment = assignment
         self.children = children
-        self.parent: _MirrorNode | None = None
-        self.canon: Pattern | None = None
+        self.canon = Pattern(part_id, tuple(child.canon for child in children))
+        self.assignment = assignment
 
 
-def _copy_tree(node: _MirrorNode) -> _MirrorNode:
-    return _MirrorNode(
-        node.part_id, node.assignment, [_copy_tree(child) for child in node.children]
-    )
-
-
-def _preorder(node: _MirrorNode, out: list[_MirrorNode] | None = None) -> list[_MirrorNode]:
-    if out is None:
-        out = []
-    out.append(node)
-    for child in node.children:
-        _preorder(child, out)
-    return out
-
-
-def _index_gen_tree(node: _MirrorNode, parent: _MirrorNode | None = None) -> None:
-    """Set parent links and cache canonical subtrees bottom-up (generation trees)."""
-    node.parent = parent
-    for child in node.children:
-        _index_gen_tree(child, node)
-    node.canon = Pattern(node.part_id, tuple(child.canon for child in node.children))
-
-
-def _copy_gen_tree(node: _MirrorNode, parent: _MirrorNode | None = None) -> _MirrorNode:
-    """Copy a generation tree, carrying over parent links and canon caches.
-
-    The copy's canons are identical to the original's; an attachment then
-    refreshes only the canons along the attach node's root path.
-    """
-    clone = _MirrorNode(node.part_id, node.assignment, [])
-    clone.parent = parent
-    clone.canon = node.canon
-    clone.children = [_copy_gen_tree(child, clone) for child in node.children]
-    return clone
-
-
-def _collect_attach_positions(
-    node: _MirrorNode, index: int, out: list[tuple[int, _MirrorNode]]
-) -> int:
-    """Preorder (index, node) attach positions, skipping duplicate-canon siblings.
+def _collect_attach_positions(node: _GenNode, chain, out: list) -> None:
+    """Preorder ``(node, ancestor chain)`` attach positions, skipping
+    duplicate-canon siblings.
 
     Attaching a leaf anywhere inside a subtree isomorphic to an
     already-visited sibling subtree yields the same canonical pattern (swap
-    the two siblings), so the whole duplicate subtree is skipped -- the
-    preorder counter still advances past it, keeping indexes aligned with
-    ``_preorder`` of the same tree.
+    the two siblings), so the whole duplicate subtree is skipped.
     """
-    out.append((index, node))
-    next_index = index + 1
+    out.append((node, chain))
+    below = (node, chain)
     seen: set[Pattern] = set()
     for child in node.children:
-        if child.canon in seen:
-            next_index += child.canon.node_count
-            continue
-        seen.add(child.canon)
-        next_index = _collect_attach_positions(child, next_index, out)
-    return next_index
+        if child.canon not in seen:
+            seen.add(child.canon)
+            _collect_attach_positions(child, below, out)
 
 
-def _attach_candidate(node: _MirrorNode, part_id: int, k: int) -> Pattern | None:
-    """The canonical pattern after attaching a *part_id* leaf under *node*,
-    or None when the attachment would break the clone bound *k*.
+def _attach_candidate(node: _GenNode, chain, part_id: int, k: int) -> Pattern | None:
+    """The canonical pattern after attaching a *part_id* leaf under *node*
+    (whose ancestors are *chain*), or None when the attachment would break
+    the clone bound *k*.
 
     Only the sibling groups along the root path change: the new leaf joins
     *node*'s children, and each ancestor sees exactly one child subtree
@@ -419,8 +394,8 @@ def _attach_candidate(node: _MirrorNode, part_id: int, k: int) -> Pattern | None
     current_pat = Pattern(node.part_id, tuple(c.canon for c in node.children) + (leaf,))
     if current_pat.multiplicity(leaf) > k:
         return None
-    while current.parent is not None:
-        parent = current.parent
+    while chain is not None:
+        parent, chain = chain
         kids = tuple(
             current_pat if child is current else child.canon
             for child in parent.children
@@ -432,32 +407,46 @@ def _attach_candidate(node: _MirrorNode, part_id: int, k: int) -> Pattern | None
     return current_pat
 
 
+def _attach_leaf(node: _GenNode, chain, leaf: _GenNode) -> _GenNode:
+    """The root of the tree with *leaf* attached under *node*.
+
+    Copies only *node* and its ancestors; every other subtree is shared.
+    """
+    old, new = node, _GenNode(node.part_id, node.children + (leaf,), node.assignment)
+    while chain is not None:
+        parent, chain = chain
+        kids = tuple(new if child is old else child for child in parent.children)
+        old, new = parent, _GenNode(parent.part_id, kids, parent.assignment)
+    return new
+
+
 @dataclass(frozen=True)
 class _SpecEntry:
     """One pattern of the sweep DAG: its producing edge and canonical form.
 
     ``parent`` is the index of the (node_count - 1)-node pattern this one
-    extends (-1 for the root), ``node_index`` the preorder position in the
-    parent's mirror tree of the node that receives the new leaf, and ``part``
-    the part identifier of the leaf.  Everything a worker needs to rebuild
-    the chase state is these three integers plus the shared spec list.
+    extends (-1 for the root) and ``part`` the part identifier of the leaf
+    the extension attaches.
     """
 
     index: int
     pattern: Pattern
     parent: int
-    node_index: int
     part: int
 
 
 def _iter_pattern_levels(rhs: NestedTgd, k: int):
-    """Yield ``P_k(rhs)`` level by level as lists of :class:`_SpecEntry`.
+    """Yield ``P_k(rhs)`` level by level as lists of ``(entry, attach, leaf)``.
 
     Level ``n`` holds the k-patterns with ``n`` nodes, each produced by one
     leaf attachment to a level ``n - 1`` pattern; within a level, entries are
     in canonical (sort-key) order.  The concatenation of the levels is
-    exactly ``enumerate_k_patterns(rhs, k)``'s order.  Generation is lazy:
-    a sweep that fails early never materializes the deeper frontier.
+    exactly ``enumerate_k_patterns(rhs, k)``'s order.  ``leaf`` is the new
+    node of the entry's generation tree and ``attach`` the parent pattern's
+    node it was attached under (None for the root pattern, whose leaf is
+    its root); the consumer records the leaf's ``assignment`` before asking
+    for the next level, whose trees share the leaf.  Generation is lazy: a sweep that fails
+    early never materializes the deeper frontier.
 
     Completeness: every k-pattern with ``n > 1`` nodes has a k-pattern parent
     with ``n - 1`` nodes -- remove a leaf reached by descending into a child
@@ -466,46 +455,34 @@ def _iter_pattern_levels(rhs: NestedTgd, k: int):
     with one and no sibling multiplicity ever rises (the correctness argument
     is spelled out in ``docs/algorithms.md``).
     """
-    root_entry = _SpecEntry(0, Pattern(1), -1, 0, 1)
-    yield [root_entry]
-    root_tree = _MirrorNode(1, None, [])
-    _index_gen_tree(root_tree)
-    trees: dict[int, _MirrorNode] = {0: root_tree}
+    root = _GenNode(1)
+    yield [(_SpecEntry(0, root.canon, -1, 1), None, root)]
+    trees: dict[int, _GenNode] = {0: root}
     level = [0]
     next_index = 1
     while level:
-        candidates: dict[Pattern, tuple[int, int, int]] = {}
+        candidates: dict[Pattern, tuple] = {}
         for index in level:
-            positions: list[tuple[int, _MirrorNode]] = []
-            _collect_attach_positions(trees[index], 0, positions)
-            for node_index, node in positions:
+            positions: list = []
+            _collect_attach_positions(trees[index], None, positions)
+            for node, chain in positions:
                 for part in rhs.children_of(node.part_id):
-                    child_pattern = _attach_candidate(node, part, k)
+                    child_pattern = _attach_candidate(node, chain, part, k)
                     if child_pattern is None or child_pattern in candidates:
                         continue
-                    candidates[child_pattern] = (index, node_index, part)
-        entries: list[_SpecEntry] = []
+                    candidates[child_pattern] = (index, node, chain, part)
+        entries: list[tuple[_SpecEntry, _GenNode, _GenNode]] = []
         new_level: list[int] = []
+        trees = {}
         for pattern in sorted(candidates, key=lambda p: p.sort_key()):
-            parent_index, node_index, part = candidates[pattern]
-            tree = _copy_gen_tree(trees[parent_index])
-            attach = _preorder(tree)[node_index]
-            leaf = _MirrorNode(part, None, [])
-            leaf.parent = attach
-            leaf.canon = Pattern(part)
-            attach.children.append(leaf)
-            current: _MirrorNode | None = attach
-            while current is not None:
-                current.canon = Pattern(
-                    current.part_id, tuple(c.canon for c in current.children)
-                )
-                current = current.parent
-            trees[next_index] = tree
-            entries.append(_SpecEntry(next_index, pattern, parent_index, node_index, part))
+            parent_index, node, chain, part = candidates[pattern]
+            leaf = _GenNode(part)
+            trees[next_index] = _attach_leaf(node, chain, leaf)
+            entries.append(
+                (_SpecEntry(next_index, pattern, parent_index, part), node, leaf)
+            )
             new_level.append(next_index)
             next_index += 1
-        for index in level:
-            del trees[index]
         if not entries:
             return
         yield entries
@@ -515,105 +492,135 @@ def _iter_pattern_levels(rhs: NestedTgd, k: int):
 class _SweepState:
     """The incrementally maintained per-pattern state of the sweep.
 
-    ``chase_builder`` is None when the chase came straight from the LRU
-    cache; a child extension then re-indexes the cached instance once and
-    shares the cost across all children of this state.
+    ``source_facts`` is ``I_p``, ``targets`` the facts of ``J_p``, ``chased``
+    is ``chase(I_p, Sigma)`` and ``witness`` a homomorphism ``J_p -> chased``
+    (None when the pattern's check fails).  The two builders hold indexes
+    of ``I_p`` and of the chase; they are built only when this state's chase
+    missed every cache tier, and a child that misses too copies them instead
+    of re-indexing.
     """
 
     __slots__ = (
-        "tree", "factory", "source_builder", "source_facts",
-        "chased", "chase_builder", "targets",
+        "factory", "source_facts", "source_builder",
+        "chased", "chase_builder", "targets", "witness",
     )
 
-    def __init__(self, tree, factory, source_builder, source_facts,
-                 chased, chase_builder, targets):
-        self.tree = tree
+    def __init__(self, factory, source_facts, source_builder,
+                 chased, chase_builder, targets, witness):
         self.factory = factory
-        self.source_builder = source_builder
         self.source_facts = source_facts
+        self.source_builder = source_builder
         self.chased = chased
         self.chase_builder = chase_builder
         self.targets = targets
+        self.witness = witness
 
 
 def _root_sweep_state(
-    rhs: NestedTgd, clauses, fingerprint: tuple[str, ...]
+    rhs: NestedTgd, root: _GenNode, clauses, fingerprint: tuple[str, ...]
 ) -> _SweepState:
-    """The state of the single-node root pattern (full chase or cache hit)."""
+    """The state of the single-node root pattern (full chase and hom search)."""
     factory = FreshValueFactory()
-    assignment, source_delta, target_delta = canonical_extension(rhs, 1, {}, factory)
-    tree = _MirrorNode(1, assignment, [])
-    source_builder = InstanceBuilder(source_delta)
-    source_facts = frozenset(source_builder)
-    key = (source_facts, fingerprint)
-    cached = _CHASE_CACHE.get(key)
-    if cached is not None:
-        _CHASE_CACHE.move_to_end(key)
-        perf.incr("implies.cache_hits")
-        chased, chase_builder = cached, None
-    else:
-        perf.incr("implies.cache_misses")
-        disk_hit = _disk_chase_get(source_facts, fingerprint)
-        if disk_hit is not None:
-            chased, chase_builder = disk_hit, None
-        else:
-            chase_builder = InstanceBuilder()
-            chase_builder.add_all(run_clause_program(clauses, source_builder))
-            chased = chase_builder.freeze()
-            _disk_chase_put(source_facts, fingerprint, chased)
-        _cache_store(key, chased)
+    root.assignment, source_delta, target_delta = canonical_extension(rhs, 1, {}, factory)
+    source_facts = frozenset(source_delta)
+    source_builder = chase_builder = None
+    chased = _chase_cache_get(source_facts, fingerprint)
+    if chased is None:
+        source_builder = InstanceBuilder(source_delta)
+        chase_builder = InstanceBuilder(run_clause_program(clauses, source_builder))
+        chased = chase_builder.freeze()
+        _chase_cache_put(source_facts, fingerprint, chased)
+    targets = tuple(target_delta)
     return _SweepState(
-        tree, factory, source_builder, source_facts, chased, chase_builder,
-        tuple(target_delta),
+        factory, source_facts, source_builder, chased, chase_builder, targets,
+        find_homomorphism(targets, chased),
     )
 
 
 def _extend_sweep_state(
     parent: _SweepState,
     entry: _SpecEntry,
+    attach: _GenNode,
+    leaf: _GenNode,
     rhs: NestedTgd,
     clauses,
     fingerprint: tuple[str, ...],
 ) -> _SweepState:
-    """Extend *parent* by the one leaf *entry* attaches, chasing only the delta."""
+    """Extend *parent* by the *leaf* *entry* attaches under *attach*: chase
+    and map the delta.
+
+    The chase runs only over the leaf's source delta, and the homomorphism
+    search maps only the leaf's target delta, with the parent's nulls fixed
+    by the parent's witness.  That is sound because ``J_parent`` is a subset
+    of ``J_child`` and the parent's witness lands in ``chase(I_parent)``;
+    the subset test on the two chases checks the latter rather than trusting
+    the cache tiers.  When the guard or the extension fails, a full search
+    decides, so the verdict is the from-scratch one.
+    """
     factory = parent.factory.clone()
-    tree = _copy_tree(parent.tree)
-    attach = _preorder(tree)[entry.node_index]
-    assignment, source_delta, target_delta = canonical_extension(
+    leaf.assignment, source_delta, target_delta = canonical_extension(
         rhs, entry.part, attach.assignment, factory
     )
-    attach.children.append(_MirrorNode(entry.part, assignment, []))
-    source_builder = parent.source_builder.copy()
-    delta = source_builder.add_all(source_delta)
-    source_facts = frozenset(source_builder)
+    delta = [fact for fact in dict.fromkeys(source_delta) if fact not in parent.source_facts]
+    source_facts = parent.source_facts.union(delta)
     targets = parent.targets + tuple(target_delta)
-    key = (source_facts, fingerprint)
-    cached = _CHASE_CACHE.get(key)
-    if cached is not None:
-        _CHASE_CACHE.move_to_end(key)
-        perf.incr("implies.cache_hits")
-        chased, chase_builder = cached, None
-    else:
-        perf.incr("implies.cache_misses")
-        disk_hit = _disk_chase_get(source_facts, fingerprint)
-        if disk_hit is not None:
-            chased, chase_builder = disk_hit, None
+    source_builder = chase_builder = None
+    chased = _chase_cache_get(source_facts, fingerprint)
+    if chased is None:
+        perf.incr("implies.sweep.incremental_hits")
+        if parent.source_builder is not None:
+            source_builder = parent.source_builder.copy()
+            chase_builder = parent.chase_builder.copy()
         else:
-            perf.incr("implies.sweep.incremental_hits")
-            if parent.chase_builder is not None:
-                chase_builder = parent.chase_builder.copy()
-            else:
-                chase_builder = InstanceBuilder(parent.chased)
-            if delta:
-                chase_builder.add_all(
-                    run_clause_program_delta(clauses, source_builder, delta)
-                )
-            chased = chase_builder.freeze()
-            _disk_chase_put(source_facts, fingerprint, chased)
-        _cache_store(key, chased)
+            source_builder = InstanceBuilder(parent.source_facts)
+            chase_builder = InstanceBuilder(parent.chased)
+        source_builder.add_all(delta)
+        if delta:
+            chase_builder.add_all(run_clause_program_delta(clauses, source_builder, delta))
+        chased = chase_builder.freeze()
+        _chase_cache_put(source_facts, fingerprint, chased)
+    witness = None
+    if parent.chased.facts <= chased.facts:
+        witness = find_homomorphism(target_delta, chased, parent.witness)
+    if witness is not None:
+        perf.incr("implies.witness_reuse")
+    else:
+        perf.incr("implies.witness_fallbacks")
+        witness = find_homomorphism(targets, chased)
     return _SweepState(
-        tree, factory, source_builder, source_facts, chased, chase_builder, targets
+        factory, source_facts, source_builder, chased, chase_builder, targets, witness
     )
+
+
+def _sweep_states(
+    lhs: Sequence,
+    rhs: NestedTgd,
+    fingerprint: tuple[str, ...],
+    k: int,
+):
+    """Yield ``(entry, state)`` for ``P_k(rhs)`` smallest first, level by level.
+
+    Stops right after the first state without a witness (a failing
+    pattern): every state the sweep extends has one.
+    """
+    clauses = compile_clause_program(lhs)
+    previous: dict[int, _SweepState] = {}
+    for level in _iter_pattern_levels(rhs, k):
+        states: dict[int, _SweepState] = {}
+        for entry, attach, leaf in level:
+            if attach is None:
+                state = _root_sweep_state(rhs, leaf, clauses, fingerprint)
+            else:
+                state = _extend_sweep_state(
+                    previous[entry.parent], entry, attach, leaf, rhs, clauses,
+                    fingerprint,
+                )
+            perf.incr("implies.patterns")
+            yield entry, state
+            if state.witness is None:
+                return
+            states[entry.index] = state
+        previous = states
 
 
 def _sweep_incremental_serial(
@@ -623,169 +630,19 @@ def _sweep_incremental_serial(
     k: int,
 ) -> ImplicationResult:
     """Sweep ``P_k(rhs)`` smallest first, extending chase states level by level."""
-    clauses = compile_clause_program(lhs)
     checked = 0
-    previous: dict[int, _SweepState] = {}
-    for entries in _iter_pattern_levels(rhs, k):
-        states: dict[int, _SweepState] = {}
-        for entry in entries:
-            if entry.parent < 0:
-                state = _root_sweep_state(rhs, clauses, fingerprint)
-            else:
-                state = _extend_sweep_state(
-                    previous[entry.parent], entry, rhs, clauses, fingerprint
-                )
-            checked += 1
-            perf.incr("implies.patterns")
-            if find_homomorphism(state.targets, state.chased) is None:
-                return ImplicationResult(
-                    holds=False,
-                    k=k,
-                    patterns_checked=checked,
-                    failing_pattern=entry.pattern,
-                    counterexample_source=Instance(state.source_facts),
-                    counterexample_target=Instance(state.targets),
-                )
-            states[entry.index] = state
-        previous = states
+    for entry, state in _sweep_states(lhs, rhs, fingerprint, k):
+        checked += 1
+        if state.witness is None:
+            return ImplicationResult(
+                holds=False,
+                k=k,
+                patterns_checked=checked,
+                failing_pattern=entry.pattern,
+                counterexample_source=Instance(state.source_facts),
+                counterexample_target=Instance(state.targets),
+            )
     return ImplicationResult(holds=True, k=k, patterns_checked=checked)
-
-
-def _replay_state(
-    index: int,
-    entries: Sequence[_SpecEntry],
-    rhs: NestedTgd,
-    clauses,
-    fingerprint: tuple[str, ...],
-    memo: dict[int, _SweepState] | None = None,
-) -> _SweepState:
-    """Rebuild the sweep state of pattern *index* from its ancestor chain."""
-    chain: list[int] = []
-    current = index
-    while current >= 0 and (memo is None or current not in memo):
-        chain.append(current)
-        current = entries[current].parent
-    state = memo[current] if (memo is not None and current >= 0) else None
-    for position in reversed(chain):
-        entry = entries[position]
-        if entry.parent < 0:
-            state = _root_sweep_state(rhs, clauses, fingerprint)
-        else:
-            assert state is not None
-            state = _extend_sweep_state(state, entry, rhs, clauses, fingerprint)
-        if memo is not None:
-            memo[position] = state
-    assert state is not None
-    return state
-
-
-# ---------------------------------------------- parallel work-stealing sweep
-
-#: The sweep spec shared with fork workers: (entries, rhs, clauses,
-#: fingerprint).  The parent publishes it once into a shared-memory segment
-#: (:mod:`repro.cache.shm`) before the pool forks; each worker attaches and
-#: deserializes it once, re-interning onto the fork-inherited tables.  When
-#: shared memory is unavailable the spec rides along as a plain module
-#: global inherited by fork.  Either way, tasks and results stay plain
-#: integers and booleans -- no pattern or instance is pickled per task.
-_INCR_SPEC: tuple | None = None
-_INCR_HANDLE: cache_shm.ShmHandle | None = None
-
-#: Worker-local memo of rebuilt sweep states, keyed by spec index.
-_WORKER_STATES: dict[int, _SweepState] = {}
-
-
-def _init_incr_worker() -> None:
-    global _WORKER_STATES
-    _WORKER_STATES = {}
-
-
-def _incr_spec() -> tuple:
-    if _INCR_HANDLE is not None:
-        spec = cache_shm.attach(_INCR_HANDLE)
-        assert isinstance(spec, tuple)
-        return spec
-    assert _INCR_SPEC is not None
-    return _INCR_SPEC
-
-
-def _incr_worker(chunk: tuple[int, int]) -> tuple[int, list[bool]]:
-    start, end = chunk
-    entries, rhs, clauses, fingerprint = _incr_spec()
-    fails: list[bool] = []
-    for index in range(start, end):
-        state = _replay_state(index, entries, rhs, clauses, fingerprint, _WORKER_STATES)
-        fails.append(find_homomorphism(state.targets, state.chased) is None)
-    return start, fails
-
-
-def _sweep_incremental_parallel(
-    lhs: Sequence,
-    rhs: NestedTgd,
-    fingerprint: tuple[str, ...],
-    k: int,
-    workers: int,
-) -> ImplicationResult:
-    """Fan the incremental sweep out over a fork pool in index chunks.
-
-    Chunks are pulled by idle workers (``imap_unordered``), so load balances
-    itself; the parent tracks the minimal failing index and stops as soon as
-    every chunk before it has reported, which bounds the extra work past a
-    failure to the in-flight chunks.  Verdict and diagnostics are identical
-    to the serial sweep: the failing pattern is the enumeration-order first,
-    and its counterexample instances are replayed deterministically.
-    """
-    global _INCR_SPEC, _INCR_HANDLE
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork: fall back to the serial sweep
-        return _sweep_incremental_serial(lhs, rhs, fingerprint, k)
-    clauses = compile_clause_program(lhs)
-    entries = [entry for level in _iter_pattern_levels(rhs, k) for entry in level]
-    total = len(entries)
-    if total <= 1 or workers <= 1:
-        return _sweep_incremental_serial(lhs, rhs, fingerprint, k)
-    chunk_size = max(1, min(16, -(-total // (workers * 4))))
-    chunks = [(start, min(start + chunk_size, total))
-              for start in range(0, total, chunk_size)]
-    fail_index: int | None = None
-    arrived: set[int] = set()
-    spec = (entries, rhs, clauses, fingerprint)
-    handle = cache_shm.publish(spec)
-    if handle is not None:
-        _INCR_HANDLE = handle
-    else:
-        _INCR_SPEC = spec
-    try:
-        with context.Pool(processes=workers, initializer=_init_incr_worker) as pool:
-            for start, fails in pool.imap_unordered(_incr_worker, chunks):
-                arrived.add(start)
-                perf.incr("implies.parallel_chunks")
-                for offset, failed in enumerate(fails):
-                    if failed:
-                        position = start + offset
-                        if fail_index is None or position < fail_index:
-                            fail_index = position
-                        break
-                if fail_index is not None and all(
-                    prefix in arrived for prefix in range(0, fail_index, chunk_size)
-                ):
-                    break
-    finally:
-        _INCR_SPEC = None
-        _INCR_HANDLE = None
-        cache_shm.unlink(handle)
-    if fail_index is None:
-        return ImplicationResult(holds=True, k=k, patterns_checked=total)
-    state = _replay_state(fail_index, entries, rhs, clauses, fingerprint)
-    return ImplicationResult(
-        holds=False,
-        k=k,
-        patterns_checked=fail_index + 1,
-        failing_pattern=entries[fail_index].pattern,
-        counterexample_source=Instance(state.source_facts),
-        counterexample_target=Instance(state.targets),
-    )
 
 
 # ------------------------------------------------------- from-scratch sweep
@@ -980,10 +837,12 @@ def implies_tgd(
     from-scratch sweep; with *source_egds* the from-scratch sweep is always
     used, because egd merges are not monotone under source extension).
 
-    With ``parallel=N > 1``, the per-pattern checks fan out over N worker
-    processes; the result (verdict, pattern count, diagnostics) is identical
-    to the serial sweep, and the sweep early-exits once a failing pattern is
-    found.
+    With ``parallel=N > 1``, the per-pattern checks of the from-scratch
+    sweep fan out over N worker processes; the result (verdict, pattern
+    count, diagnostics) is identical to the serial sweep, and the sweep
+    early-exits once a failing pattern is found.  Incremental sweeps always
+    run serially: each pattern's state extends its parent's, so *parallel*
+    is ignored for them.
 
     With ``budget=N``, the static cost model of
     :func:`repro.analysis.cost.sweep_cost` predicts the sweep size *before*
@@ -1070,10 +929,7 @@ def implies_tgd(
         if incremental:
             if max_patterns is not None and count_k_patterns(rhs, k) > max_patterns:
                 raise ResourceLimitExceeded("patterns", max_patterns)
-            if parallel and parallel > 1:
-                result = _sweep_incremental_parallel(lhs, rhs, fingerprint, k, parallel)
-            else:
-                result = _sweep_incremental_serial(lhs, rhs, fingerprint, k)
+            result = _sweep_incremental_serial(lhs, rhs, fingerprint, k)
         else:
             patterns = enumerate_k_patterns(rhs, k, max_patterns=max_patterns)
             if parallel and parallel > 1 and len(patterns) > 1:

@@ -60,6 +60,11 @@ Counter names are dotted strings, grouped by subsystem:
                           the parent pattern's cached chase by the new
                           leaf's delta (DAG-incremental sweep), instead of
                           being re-chased from scratch
+``implies.witness_reuse``  patterns whose homomorphism check extended the
+                          parent pattern's witness over the new leaf's
+                          target facts (DAG-incremental sweep)
+``implies.witness_fallbacks``  patterns where that extension did not apply
+                          or failed, so a full search decided the check
 ``implies.verdict_disk_hits``  whole IMPLIES verdicts answered by the
                           persistent verdict store (``repro.cache``)
 ``cache.disk.hits``       persistent-store lookups that found a row

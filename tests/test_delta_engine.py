@@ -168,10 +168,11 @@ class TestParallelImpliesAgreesWithSerial:
          parse_nested_tgd("S(u1,u2) -> exists w . (R(w,u2) & (S(u1,u3) -> R(w,u3)))")),
     ]
 
+    # The pool drives the from-scratch sweep; incremental sweeps run serially.
     @pytest.mark.parametrize("lhs,rhs", PAIRS)
     def test_verdict_and_diagnostics_agree(self, lhs, rhs):
-        serial = implies_tgd(lhs, rhs)
-        parallel = implies_tgd(lhs, rhs, parallel=2)
+        serial = implies_tgd(lhs, rhs, incremental=False)
+        parallel = implies_tgd(lhs, rhs, incremental=False, parallel=2)
         assert serial.holds == parallel.holds
         assert serial.k == parallel.k
         assert serial.patterns_checked == parallel.patterns_checked

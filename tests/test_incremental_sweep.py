@@ -17,10 +17,11 @@ import hypothesis.strategies as st
 from repro import perf
 from repro.core import implication
 from repro.core.implication import clear_chase_cache, implies_tgd
-from repro.core.patterns import count_k_patterns
+from repro.core.patterns import Pattern, count_k_patterns
 from repro.engine.chase import chase
-from repro.engine.homomorphism import find_homomorphism
+from repro.engine.homomorphism import find_homomorphism, is_homomorphism
 from repro.errors import DependencyError, ResourceLimitExceeded
+from repro.logic.instances import Instance
 from repro.logic.parser import parse_nested_tgd, parse_tgd
 
 from tests.strategies import nested_tgds
@@ -88,15 +89,76 @@ def test_differential_random_nested_tgds(lhs, rhs):
 
 
 def test_parallel_incremental_matches_serial():
+    # the pool drives the from-scratch sweep; incremental sweeps run serially
     clear_chase_cache()
-    serial = implies_tgd([TAU_PRIME], TAU)
+    serial = implies_tgd([TAU_PRIME], TAU, incremental=False)
     clear_chase_cache()
-    parallel = implies_tgd([TAU_PRIME], TAU, parallel=2)
+    parallel = implies_tgd([TAU_PRIME], TAU, incremental=False, parallel=2)
     assert parallel.holds == serial.holds
     assert parallel.patterns_checked == serial.patterns_checked
     assert parallel.failing_pattern == serial.failing_pattern
     assert parallel.counterexample_source == serial.counterexample_source
     assert parallel.counterexample_target == serial.counterexample_target
+
+
+def test_incremental_sweep_ignores_parallel():
+    clear_chase_cache()
+    serial = implies_tgd([TAU_PRIME], TAU)
+    clear_chase_cache()
+    with perf.measuring() as stats:
+        parallel = implies_tgd([TAU_PRIME], TAU, parallel=2)
+    assert stats.get("implies.parallel_chunks") == 0
+    assert parallel == serial
+
+
+# ------------------------------------------------- parent -> child invariants
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.data_too_large])
+@given(st.lists(nested_tgds(max_depth=2), min_size=1, max_size=2),
+       nested_tgds(max_depth=2))
+def test_sweep_states_inherit_from_their_parent(lhs, rhs):
+    """Every child pattern contains its parent's canonical instances and
+    chase under identical names, and carries a genuine witness -- or, on
+    the failing pattern, no homomorphism exists at all."""
+    lhs = implication._normalize_lhs(lhs)
+    rhs = implication._normalize_rhs(rhs)
+    k = implication.implication_bound(lhs, rhs)
+    if count_k_patterns(rhs, k) > 2_000:
+        return
+    clear_chase_cache()
+    states = {}
+    fingerprint = implication._sigma_fingerprint(lhs)
+    for entry, state in implication._sweep_states(lhs, rhs, fingerprint, k):
+        states[entry.index] = state
+        parent = states.get(entry.parent)
+        target = Instance(state.targets)
+        if parent is not None:
+            assert parent.source_facts <= state.source_facts
+            assert set(parent.targets) <= target.facts
+            assert parent.chased.facts <= state.chased.facts
+        if state.witness is None:
+            assert find_homomorphism(target, state.chased) is None
+        else:
+            assert is_homomorphism(state.witness, target, state.chased)
+
+
+def test_witness_falls_back_to_a_full_search():
+    """The parent witness y -> f_z(a1) does not extend to pattern 2, whose
+    Q fact needs y -> f_w(a1, a2); the full search finds that, and pattern 3
+    (two S2 children) refutes, exactly as the from-scratch sweep does."""
+    lhs = [
+        parse_tgd("S1(x1) -> exists z . P(z)"),
+        parse_tgd("S1(x1) & S2(x2) -> exists w . (P(w) & Q(w, x2))"),
+    ]
+    rhs = parse_nested_tgd("S1(x1) -> exists y . (P(y) & (S2(x2) -> Q(y, x2)))")
+    with perf.measuring() as stats:
+        result = _assert_same_result(lhs, rhs)
+    assert not result.holds
+    assert result.patterns_checked == 3
+    assert result.failing_pattern == Pattern(1, (Pattern(2), Pattern(2)))
+    assert stats.get("implies.witness_fallbacks") > 0
 
 
 # ----------------------------------------------------------- perf counters
@@ -111,6 +173,9 @@ def test_incremental_hits_counted_on_ex310():
     # every non-root pattern extends its parent's chase state incrementally
     assert snap.get("implies.sweep.incremental_hits", 0) > 0
     assert snap["implies.sweep.incremental_hits"] == result.patterns_checked - 1
+    # ... and every non-root pattern extends its parent's witness
+    assert snap.get("implies.witness_reuse", 0) == result.patterns_checked - 1
+    assert snap.get("implies.witness_fallbacks", 0) == 0
 
 
 def test_warm_sweep_hits_cache_for_every_pattern():
