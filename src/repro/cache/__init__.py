@@ -2,16 +2,13 @@
 
 Warm-start performance used to die with the process: the IMPLIES chase
 cache, the core fold memo, and the interned term universe were all
-process-local, and fork-pool workers re-pickled their inputs per task.
-This package makes the warm state survive restarts and fork boundaries:
+process-local.  This package makes the warm state survive restarts:
 
 - :mod:`repro.cache.fingerprint` -- content-derived SHA-256 keys
   (injective length-prefixed encodings; independent of ``PYTHONHASHSEED``).
 - :mod:`repro.cache.store` -- a schema-versioned, LRU-evicted,
   corruption-tolerant SQLite store, enabled by ``REPRO_CACHE_DIR`` or
   :func:`configure`; disabled by default, leaving hot paths untouched.
-- :mod:`repro.cache.shm` -- one-shot shared-memory publication of sweep /
-  prefold specs to fork workers, replacing per-task pickling.
 
 This module is the facade: pickle-level :func:`disk_get` / :func:`disk_put`
 used by the engine hook points, :func:`clear_all_caches` resetting every

@@ -32,17 +32,8 @@ from repro.core.implication import implies
 from repro.core.patterns import patterns_up_to_size
 
 
-def is_equivalent_to_glav(
-    dependencies,
-    source_egds: Sequence[Egd] = (),
-    parallel: int | None = None,
-    backend: str = "tuple",
-) -> bool:
+def is_equivalent_to_glav(dependencies, source_egds: Sequence[Egd] = ()) -> bool:
     """Decide whether a nested GLAV mapping is logically equivalent to a GLAV mapping.
-
-    ``parallel=N`` and ``backend=`` are forwarded to the boundedness analysis
-    (core folding on N worker processes / on another core engine; same
-    verdict in every configuration).
 
         >>> from repro.logic.parser import parse_nested_tgd
         >>> sigma = parse_nested_tgd(
@@ -50,10 +41,7 @@ def is_equivalent_to_glav(
         >>> is_equivalent_to_glav([sigma])   # the paper's running counterexample
         False
     """
-    verdict = decide_bounded_fblock_size(
-        dependencies, source_egds=source_egds, parallel=parallel, backend=backend
-    )
-    return verdict.bounded
+    return decide_bounded_fblock_size(dependencies, source_egds=source_egds).bounded
 
 
 def pattern_tgd(pattern, tgd: NestedTgd) -> STTgd | None:
@@ -94,18 +82,12 @@ def to_glav(
     dependencies,
     source_egds: Sequence[Egd] = (),
     max_pattern_nodes: int = 8,
-    parallel: int | None = None,
-    backend: str = "tuple",
 ) -> list[STTgd]:
     """Construct a GLAV mapping logically equivalent to the given nested GLAV mapping.
 
     Raises :class:`UndecidedError` when the mapping has unbounded f-block size
     (no equivalent GLAV mapping exists, Theorem 4.1) or when the search bound
     *max_pattern_nodes* is exhausted before the implication closes.
-    ``parallel=N`` is forwarded to both the boundedness analysis (parallel
-    core folding) and the closing IMPLIES sweep (parallel pattern checks);
-    ``backend=`` to the boundedness analysis's core engine.  The construction
-    is unchanged in every configuration.
 
         >>> from repro.logic.parser import parse_nested_tgd
         >>> sigma = parse_nested_tgd("S1(x1) -> (S2(x2) -> T(x1, x2))")
@@ -114,9 +96,7 @@ def to_glav(
         1
     """
     nested = nested_tgds_from(dependencies)
-    verdict: FBlockVerdict = decide_bounded_fblock_size(
-        nested, source_egds=source_egds, parallel=parallel, backend=backend
-    )
+    verdict: FBlockVerdict = decide_bounded_fblock_size(nested, source_egds=source_egds)
     if not verdict.bounded:
         raise UndecidedError(
             "the mapping has unbounded f-block size and is therefore not logically "
@@ -136,7 +116,7 @@ def to_glav(
         candidate = list(dict.fromkeys(candidate))
         # The nested mapping always implies its pattern tgds; equivalence holds
         # as soon as the pattern tgds imply the nested mapping back.
-        if implies(candidate, nested, source_egds=list(source_egds), parallel=parallel):
+        if implies(candidate, nested, source_egds=list(source_egds)):
             return candidate
     raise UndecidedError(
         "no equivalent GLAV mapping found with patterns of at most "
@@ -144,18 +124,14 @@ def to_glav(
     )
 
 
-def glav_distance_report(
-    dependencies, source_egds: Sequence[Egd] = (), backend: str = "tuple"
-) -> dict:
+def glav_distance_report(dependencies, source_egds: Sequence[Egd] = ()) -> dict:
     """A structured report for the GLAV-equivalence question.
 
     Returns a dict with the boundedness verdict, the witnessing growth
     sequence when unbounded, and (when bounded and small enough) the
     constructed equivalent GLAV mapping.
     """
-    verdict = decide_bounded_fblock_size(
-        dependencies, source_egds=source_egds, backend=backend
-    )
+    verdict = decide_bounded_fblock_size(dependencies, source_egds=source_egds)
     report: dict = {
         "bounded_fblock_size": verdict.bounded,
         "fblock_bound": verdict.bound,
@@ -165,9 +141,7 @@ def glav_distance_report(
     }
     if verdict.bounded:
         try:
-            report["equivalent_glav"] = to_glav(
-                dependencies, source_egds=source_egds, backend=backend
-            )
+            report["equivalent_glav"] = to_glav(dependencies, source_egds=source_egds)
         except UndecidedError:
             report["equivalent_glav"] = None
     return report

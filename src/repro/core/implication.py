@@ -40,15 +40,6 @@ Engine-level accelerations on top of the paper's procedure:
   IMPLIES runs) whose canonical sources coincide share one chase.  Hits and
   misses are recorded in :mod:`repro.perf`; incremental extensions count as
   ``implies.sweep.incremental_hits``.
-- an optional **parallel pattern sweep** (``parallel=N``) for the
-  from-scratch sweep (the only sweep with source egds): the per-pattern
-  checks fan out over a ``multiprocessing`` fork pool in enumeration-order
-  chunks.  Workers receive only pattern indexes -- the sweep spec is
-  published once into a :mod:`repro.cache.shm` shared-memory segment that
-  each worker attaches and deserializes once, so no pattern is pickled per
-  task.  The first failing pattern *in enumeration order* is reported, so
-  the verdict, ``patterns_checked``, and the counterexample agree exactly
-  with the serial sweep.  The incremental sweep always runs serially.
 - optional **persistent tiers** (:mod:`repro.cache`, enabled by
   ``REPRO_CACHE_DIR`` or ``repro.cache.configure``): chase-cache misses
   consult a fingerprint-keyed on-disk store before chasing, every computed
@@ -62,14 +53,12 @@ Engine-level accelerations on top of the paper's procedure:
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro import perf
 from repro.cache import SPACE_CHASE, SPACE_IMPLIES, disk_get, disk_put, get_store
-from repro.cache import shm as cache_shm
 from repro.cache.fingerprint import (
     combine_fingerprints,
     fingerprint_facts,
@@ -647,86 +636,6 @@ def _sweep_incremental_serial(
 
 # ------------------------------------------------------- from-scratch sweep
 
-#: The from-scratch sweep spec: (patterns, lhs, rhs, source_egds,
-#: fingerprint).  Published once into shared memory (or, when that is
-#: unavailable, left in this fork-inherited global); workers receive plain
-#: pattern indexes as tasks instead of pickled patterns.
-_SCRATCH_SPEC: tuple | None = None
-_SCRATCH_HANDLE: cache_shm.ShmHandle | None = None
-
-
-def _scratch_spec() -> tuple:
-    if _SCRATCH_HANDLE is not None:
-        spec = cache_shm.attach(_SCRATCH_HANDLE)
-        assert isinstance(spec, tuple)
-        return spec
-    assert _SCRATCH_SPEC is not None
-    return _SCRATCH_SPEC
-
-
-def _pattern_worker(index: int) -> tuple[bool, Instance | None, Instance | None]:
-    patterns, lhs, rhs, source_egds, fingerprint = _scratch_spec()
-    fails, source, target = _check_pattern(
-        patterns[index], lhs, rhs, source_egds, fingerprint
-    )
-    if not fails:
-        return False, None, None
-    return True, source, target
-
-
-def _sweep_parallel(
-    patterns: Sequence[Pattern],
-    lhs: Sequence,
-    rhs: NestedTgd,
-    source_egds: Sequence[Egd],
-    fingerprint: tuple[str, ...],
-    k: int,
-    workers: int,
-) -> ImplicationResult:
-    """Check from-scratch patterns over a worker pool, chunked in enumeration order.
-
-    Chunks are dispatched one at a time and scanned in order, so the first
-    failing pattern (and the ``patterns_checked`` count up to it) is exactly
-    the serial one; at most one chunk of extra work runs past a failure.
-    """
-    global _SCRATCH_SPEC, _SCRATCH_HANDLE
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork: fall back to the serial sweep
-        return _sweep_serial(patterns, lhs, rhs, source_egds, fingerprint, k)
-    chunk_size = max(1, 2 * workers)
-    checked = 0
-    spec = (tuple(patterns), list(lhs), rhs, list(source_egds), fingerprint)
-    handle = cache_shm.publish(spec)
-    if handle is not None:
-        _SCRATCH_HANDLE = handle
-    else:
-        _SCRATCH_SPEC = spec
-    try:
-        with context.Pool(processes=workers) as pool:
-            for start in range(0, len(patterns), chunk_size):
-                batch = range(start, min(start + chunk_size, len(patterns)))
-                perf.incr("implies.parallel_chunks")
-                for offset, (fails, source, target) in enumerate(
-                    pool.map(_pattern_worker, batch)
-                ):
-                    checked += 1
-                    if fails:
-                        return ImplicationResult(
-                            holds=False,
-                            k=k,
-                            patterns_checked=checked,
-                            failing_pattern=patterns[start + offset],
-                            counterexample_source=source,
-                            counterexample_target=target,
-                        )
-    finally:
-        _SCRATCH_SPEC = None
-        _SCRATCH_HANDLE = None
-        cache_shm.unlink(handle)
-    return ImplicationResult(holds=True, k=k, patterns_checked=checked)
-
-
 def _sweep_serial(
     patterns: Sequence[Pattern],
     lhs: Sequence,
@@ -824,7 +733,6 @@ def implies_tgd(
     source_egds: Sequence[Egd] = (),
     max_patterns: int | None = 1_000_000,
     *,
-    parallel: int | None = None,
     subsumption: bool = True,
     budget: int | None = None,
     incremental: bool | None = None,
@@ -836,13 +744,6 @@ def implies_tgd(
     delta one new leaf contributes (``incremental=False`` forces the
     from-scratch sweep; with *source_egds* the from-scratch sweep is always
     used, because egd merges are not monotone under source extension).
-
-    With ``parallel=N > 1``, the per-pattern checks of the from-scratch
-    sweep fan out over N worker processes; the result (verdict, pattern
-    count, diagnostics) is identical to the serial sweep, and the sweep
-    early-exits once a failing pattern is found.  Incremental sweeps always
-    run serially: each pattern's state extends its parent's, so *parallel*
-    is ignored for them.
 
     With ``budget=N``, the static cost model of
     :func:`repro.analysis.cost.sweep_cost` predicts the sweep size *before*
@@ -932,12 +833,7 @@ def implies_tgd(
             result = _sweep_incremental_serial(lhs, rhs, fingerprint, k)
         else:
             patterns = enumerate_k_patterns(rhs, k, max_patterns=max_patterns)
-            if parallel and parallel > 1 and len(patterns) > 1:
-                result = _sweep_parallel(
-                    patterns, lhs, rhs, source_egds, fingerprint, k, parallel
-                )
-            else:
-                result = _sweep_serial(patterns, lhs, rhs, source_egds, fingerprint, k)
+            result = _sweep_serial(patterns, lhs, rhs, source_egds, fingerprint, k)
         if verdict_key is not None:
             _disk_verdict_put(verdict_key, result)
         return result
@@ -953,7 +849,6 @@ def implies(
     source_egds: Sequence[Egd] = (),
     max_patterns: int | None = 1_000_000,
     *,
-    parallel: int | None = None,
     subsumption: bool = True,
     budget: int | None = None,
     incremental: bool | None = None,
@@ -969,8 +864,7 @@ def implies(
     return all(
         implies_tgd(
             sigma_set, sigma, source_egds=source_egds, max_patterns=max_patterns,
-            parallel=parallel, subsumption=subsumption, budget=budget,
-            incremental=incremental,
+            subsumption=subsumption, budget=budget, incremental=incremental,
         ).holds
         for sigma in sigma_prime_set
     )
@@ -982,7 +876,6 @@ def equivalent(
     source_egds: Sequence[Egd] = (),
     max_patterns: int | None = 1_000_000,
     *,
-    parallel: int | None = None,
     subsumption: bool = True,
     budget: int | None = None,
     incremental: bool | None = None,
@@ -990,11 +883,11 @@ def equivalent(
     """Decide logical equivalence of two finite sets of nested tgds (Corollary 3.11)."""
     return implies(
         sigma_set, sigma_prime_set, source_egds=source_egds,
-        max_patterns=max_patterns, parallel=parallel, subsumption=subsumption,
+        max_patterns=max_patterns, subsumption=subsumption,
         budget=budget, incremental=incremental,
     ) and implies(
         sigma_prime_set, sigma_set, source_egds=source_egds,
-        max_patterns=max_patterns, parallel=parallel, subsumption=subsumption,
+        max_patterns=max_patterns, subsumption=subsumption,
         budget=budget, incremental=incremental,
     )
 

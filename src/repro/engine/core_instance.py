@@ -50,14 +50,6 @@ restart per elimination -- is preserved as
   ``J minus facts(x)`` for every null x of B2 (distinct blocks share no
   nulls), so all of B2 is eliminated by one retraction.  Duplicates are
   detected by equal canonical forms.
-- **Parallel local folding** (``core(instance, parallel=N)``): uncached
-  block folds are dispatched to a fork-based process pool (mirroring the
-  IMPLIES pattern sweep); results land in the shared LRU.  The canonical
-  blocks are published to the workers once through a
-  :mod:`repro.cache.shm` shared-memory segment (workers receive integer
-  indexes, not pickled fact tuples), with the pre-shm pickling path kept
-  as a fallback.  A fold is a deterministic function of the canonical
-  form, so parallel and serial runs return identical cores.
 - **Persistent fold tier** (:mod:`repro.cache`, enabled by
   ``REPRO_CACHE_DIR`` / ``repro.cache.configure``): canonical blocks are
   already process-independent (nulls renamed to ``Null(("#", i))``), so a
@@ -95,7 +87,6 @@ from typing import Iterable, Sequence
 
 from repro import perf
 from repro.cache import SPACE_FOLD, disk_get, disk_put, get_store
-from repro.cache import shm as cache_shm
 from repro.cache.fingerprint import (
     encode_atom_parts,
     encode_canonical_null,
@@ -237,7 +228,7 @@ def _fold_facts(facts: Iterable[Atom]) -> tuple[Atom, ...]:
     """Fold a block against itself until no null is locally eliminable.
 
     A pure, deterministic function of the fact set (it is the fold-cache
-    value computation and the parallel worker); returns repr-sorted facts.
+    value computation); returns repr-sorted facts.
     """
     builder = InstanceBuilder(facts)
     pending: deque[list[Atom]] = deque(_null_components(list(builder)))
@@ -333,52 +324,6 @@ def _fold_block(
         _store_fold(key, cached)
     inverse = {label: null for null, label in labeling.items()}
     return tuple(fact.rename_values(inverse) for fact in cached)
-
-
-#: Canonical blocks published to prefold workers (shared-memory segment, or
-#: this fork-inherited global as the fallback); tasks are plain indexes.
-_PREFOLD_KEYS: tuple[tuple[Atom, ...], ...] | None = None
-_PREFOLD_HANDLE: "cache_shm.ShmHandle | None" = None
-
-
-def _prefold_worker(index: int) -> tuple[Atom, ...]:
-    if _PREFOLD_HANDLE is not None:
-        keys = cache_shm.attach(_PREFOLD_HANDLE)
-        assert isinstance(keys, tuple)
-    else:
-        assert _PREFOLD_KEYS is not None
-        keys = _PREFOLD_KEYS
-    return _fold_facts(keys[index])
-
-
-def _prefold_parallel(keys: list[tuple[Atom, ...]], workers: int) -> None:
-    """Fold uncached canonical blocks across a fork-based process pool."""
-    import concurrent.futures
-    import multiprocessing
-
-    global _PREFOLD_KEYS, _PREFOLD_HANDLE
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        return
-    perf.incr("core.parallel_blocks", len(keys))
-    spec = tuple(keys)
-    handle = cache_shm.publish(spec)
-    if handle is not None:
-        _PREFOLD_HANDLE = handle
-    else:
-        _PREFOLD_KEYS = spec
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        ) as pool:
-            for key, folded in zip(keys, pool.map(_prefold_worker, range(len(keys)))):
-                _store_fold(key, folded)
-                _disk_fold_put(key, folded)
-    finally:
-        _PREFOLD_KEYS = None
-        _PREFOLD_HANDLE = None
-        cache_shm.unlink(handle)
 
 
 class _ColumnarCore:
@@ -825,12 +770,7 @@ def _core_columnar(instance: "Instance | ColumnarInstance") -> Instance:
     return store.to_instance()
 
 
-def core(
-    instance: Instance,
-    parallel: int | None = None,
-    *,
-    backend: str = "tuple",
-) -> Instance:
+def core(instance: Instance, *, backend: str = "tuple") -> Instance:
     """Return the core of *instance*.
 
         >>> from repro.logic.parser import parse_instance
@@ -839,16 +779,14 @@ def core(
 
     The result contains the same constants as the input and a subset of its
     facts; it is homomorphically equivalent to the input and no proper
-    subinstance of it is.  With ``parallel=N``, block-local folding runs on
-    a pool of N worker processes (same result as the serial run).
+    subinstance of it is.
 
     ``backend`` selects the execution engine: ``"tuple"`` (this module's
     object worklist -- the reference), ``"columnar"`` (id-space over a
     :class:`~repro.engine.columnar.ColumnarInstance`), ``"sql"`` (per-block
     eliminating homomorphisms as SELECT joins), or ``"auto"``
     (:func:`~repro.engine.dispatch.choose_core_backend` by instance size).
-    All backends return the same core up to isomorphism; ``parallel``
-    applies to the tuple path only.
+    All backends return the same core up to isomorphism.
     """
     if backend != "tuple":
         from repro.engine.dispatch import CORE_SQL_AUTO_THRESHOLD, choose_core_backend
@@ -891,15 +829,6 @@ def core(
                 continue
             seen_keys.add(canon[0])
         kept.append((block_facts, canon))
-
-    if parallel and parallel > 1:
-        uncached = [
-            canon[0]
-            for __, canon in kept
-            if canon is not None and canon[0] not in _FOLD_CACHE
-        ]
-        if len(uncached) > 1:
-            _prefold_parallel(uncached, parallel)
 
     pending: deque[list[Atom]] = deque()
     for block_facts, canon in kept:

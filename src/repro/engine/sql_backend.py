@@ -46,17 +46,13 @@ A fourth entry point, :func:`sql_core`, pushes *core computation* down
 certified mapping classes are SQL-computable): each candidate elimination
 of the core worklist -- "does the f-block of null ``x`` map into the
 instance minus the facts containing ``x``?" -- compiles to one SELECT join
-(:class:`_BlockQuery`) and eliminations apply as exact-row DELETEs.  When
-the ``duckdb`` module is importable the session can run on an in-memory
-DuckDB connection for vectorized joins; SQLite remains the default and the
-fallback.
+(:class:`_BlockQuery`) and eliminations apply as exact-row DELETEs.
 
 Perf counters: ``backend.sql.statements`` (statements executed),
 ``backend.sql.encoded_rows`` / ``backend.sql.decoded_rows`` (rows crossing
 the boundary in each direction); for the core pushdown additionally
 ``core.sql.blocks``, ``core.sql.queries`` (eliminating-hom SELECTs),
-``core.sql.eliminations``, ``core.sql.rigid_blocks``, and
-``core.sql.duckdb_sessions``.
+``core.sql.eliminations`` and ``core.sql.rigid_blocks``.
 """
 
 from __future__ import annotations
@@ -64,7 +60,7 @@ from __future__ import annotations
 import re
 import sqlite3
 from collections import deque
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro import perf
 from repro.errors import BudgetExceeded, ChaseError, DependencyError, EgdViolation
@@ -80,6 +76,10 @@ _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 #: Suffixes of the backend's working tables; relation names must not end in
 #: them (so a user relation can never alias a delta table).
 _RESERVED_SUFFIXES = ("__delta", "__next")
+
+#: SQLite joins at most this many tables in one SELECT; every compiled
+#: statement uses one table alias per body atom (or per block fact).
+MAX_JOIN_TABLES = 64
 
 
 class SQLCompileError(DependencyError):
@@ -180,6 +180,11 @@ class _CompiledClause:
     """
 
     def __init__(self, clause: SOClause):
+        if len(clause.body) > MAX_JOIN_TABLES:
+            raise SQLCompileError(
+                f"a body of {len(clause.body)} atoms exceeds SQLite's "
+                f"{MAX_JOIN_TABLES}-table join limit"
+            )
         self.body_relations: list[str] = []
         self.aliases: list[str] = []
         self.variable_columns: dict[Variable, str] = {}
@@ -284,19 +289,11 @@ def _collect_arities(
 
 
 class _Session:
-    """A connection plus statement/row accounting flushed to :mod:`repro.perf`.
+    """An in-memory SQLite connection plus statement/row accounting flushed
+    to :mod:`repro.perf`."""
 
-    Defaults to an in-memory SQLite connection; callers may inject any
-    DB-API-compatible connection instead (the core pushdown hands in a
-    DuckDB connection when the module is importable -- only the portable
-    subset of SQL used here runs on it: ``?`` placeholders, ``CREATE
-    TABLE``/``CREATE INDEX``, SELECT/INSERT/DELETE without ``rowcount``).
-    """
-
-    def __init__(self, connection: Any = None) -> None:
-        self.connection = (
-            connection if connection is not None else sqlite3.connect(":memory:")
-        )
+    def __init__(self) -> None:
+        self.connection = sqlite3.connect(":memory:")
         self.cursor = self.connection.cursor()
         self.statements = 0
         self.encoded_rows = 0
@@ -622,15 +619,6 @@ def sql_core_supported(instance: Instance) -> bool:
     return True
 
 
-def _duckdb_connection() -> Any:
-    """An in-memory DuckDB connection, or None when the module is absent."""
-    try:
-        import duckdb
-    except ImportError:
-        return None
-    return duckdb.connect(":memory:")
-
-
 class _BlockQuery:
     """One f-block compiled to per-null eliminating-homomorphism SELECTs.
 
@@ -693,7 +681,7 @@ class _BlockQuery:
         )
 
 
-def sql_core(instance: Instance, *, use_duckdb: bool | None = None) -> Instance:
+def sql_core(instance: Instance) -> Instance:
     """Compute the core of *instance* with block eliminations pushed to SQL.
 
     Same worklist as :func:`repro.engine.core_instance.core` -- split into
@@ -704,38 +692,31 @@ def sql_core(instance: Instance, *, use_duckdb: bool | None = None) -> Instance:
     the database already amortizes the repeated joins, and memoization would
     re-introduce the per-fact object traffic the pushdown avoids.
 
-    ``use_duckdb=None`` (the default) uses DuckDB when importable and falls
-    back to SQLite; ``True`` requires it; ``False`` forces SQLite.  Either
-    engine returns the same core up to isomorphism (and the identical fact
-    set on deterministic instances: candidate nulls are tried in repr order
-    and the SELECTs are ordered).
+    Candidate nulls are tried in repr order and each SELECT is ordered
+    (``ORDER BY ... LIMIT 1``).  A candidate elimination joins one table per
+    block fact, so an f-block of more than :data:`MAX_JOIN_TABLES` facts
+    raises :class:`~repro.errors.ChaseError` before any table is loaded.
     """
     from repro.engine.builder import InstanceBuilder
     from repro.engine.core_instance import _block_nulls, _has_nulls, _null_components
     from repro.engine.gaifman import fact_blocks
 
     arities = _collect_arities(instance, ())
-    connection = None
-    if use_duckdb or use_duckdb is None:
-        connection = _duckdb_connection()
-        if connection is None and use_duckdb:
-            raise ChaseError(
-                "use_duckdb=True but the duckdb module is not importable"
-            )
-    if connection is not None:
-        perf.incr("core.sql.duckdb_sessions")
-
-    builder = InstanceBuilder(instance)
     pending: "deque[list[Atom]]" = deque()
-    blocks = 0
     for block in fact_blocks(instance):
         block_facts = sorted(block, key=repr)
         if _has_nulls(block_facts):
-            blocks += 1
+            if len(block_facts) > MAX_JOIN_TABLES:
+                raise ChaseError(
+                    f"an f-block of {len(block_facts)} facts exceeds SQLite's "
+                    f"{MAX_JOIN_TABLES}-table join limit; compute this core "
+                    'with backend="columnar" or "tuple"'
+                )
             pending.append(block_facts)
-    perf.incr("core.sql.blocks", blocks)
+    perf.incr("core.sql.blocks", len(pending))
 
-    session = _Session(connection)
+    builder = InstanceBuilder(instance)
+    session = _Session()
     queries = 0
     try:
         for relation, arity in sorted(arities.items()):

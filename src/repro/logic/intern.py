@@ -17,8 +17,9 @@ as something outside the table references it, so long-running processes do
 not accumulate every value ever constructed.
 
 Pickling round-trips through the constructor (``__reduce__`` on each
-interned class), so objects received from a worker process re-intern on
-arrival and the identity invariant holds across process boundaries.
+interned class), so objects read back from the persistent store
+(:mod:`repro.cache`) re-intern on arrival and the identity invariant holds
+across process boundaries.
 
 Table traffic is counted locally (two plain integers -- no per-construction
 dict update on the hot path) and published to :mod:`repro.perf` as
@@ -28,8 +29,7 @@ Beyond the tables, every interned object receives a **dense id**: a small
 per-kind integer assigned at intern time (0, 1, 2, ... in interning order).
 Dense ids are per-process -- the same term interned in two processes may get
 different ids -- but within a process they give every canonical object a
-compact, stable address, which is what the shared-memory universe publisher
-(:mod:`repro.cache.shm`) and columnar layouts index by.  Cross-process cache
+compact, stable address, which is what columnar layouts index by.  Cross-process cache
 keys never use dense ids (or ``hash()``, which is seed-dependent); they use
 the content-derived fingerprints of :mod:`repro.cache.fingerprint`.
 """

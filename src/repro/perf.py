@@ -38,7 +38,6 @@ Counter names are dotted strings, grouped by subsystem:
 ``core.memo_misses``      block folds computed and cached
 ``core.eliminations``     eliminating retractions applied
 ``core.rigid_blocks``     blocks proven rigid (no eliminable null)
-``core.parallel_blocks``  block folds dispatched to the worker pool
 ``core.columnar.blocks``  f-blocks seen by the id-space core engine; its
                           ``iso_folds`` / ``memo_hits`` / ``memo_misses`` /
                           ``eliminations`` / ``rigid_blocks`` twins mirror
@@ -48,11 +47,9 @@ Counter names are dotted strings, grouped by subsystem:
 ``core.sql.queries``      eliminating-homomorphism SELECT joins executed
 ``core.sql.eliminations``  eliminating retractions applied via SQL DELETEs
 ``core.sql.rigid_blocks``  blocks every SELECT proved rigid
-``core.sql.duckdb_sessions``  core sessions run on a DuckDB connection
 ``implies.patterns``      k-patterns checked by ``implies_tgd``
 ``implies.cache_hits``    chase-cache hits inside ``implies_tgd``
 ``implies.cache_misses``  chase-cache misses inside ``implies_tgd``
-``implies.parallel_chunks``  pattern chunks dispatched to the worker pool
 ``implies.subsumption_checks``  syntactic-subsumption pre-passes attempted
 ``implies.subsumption_skips``   pattern sweeps skipped: the rhs was
                           trivially implied (``analysis.subsumption``)
@@ -76,11 +73,6 @@ Counter names are dotted strings, grouped by subsystem:
 ``cache.disk.errors``     sqlite-level failures degraded to cache misses
 ``cache.disk.corrupt``    payloads that failed to unpickle (row deleted,
                           value recomputed and overwritten)
-``cache.shm.segments``    shared-memory segments published to fork workers
-``cache.shm.bytes``       serialized bytes published into shared memory
-``cache.shm.attaches``    worker-side attach+deserialize operations (once
-                          per worker per segment)
-``cache.shm.attach_ns``   nanoseconds spent attaching, summed over workers
 ``intern.hits``           hash-consing table hits (an equal object already
                           existed); accumulated locally and flushed by
                           ``logic.intern.publish_stats`` at measurement
@@ -146,8 +138,8 @@ class PerfStats:
         self.counters.clear()
 
     def merge(self, other: "PerfStats | dict[str, int]") -> None:
-        """Add another stats object's counters into this one (used to fold
-        worker-process counters back into the parent after a parallel sweep)."""
+        """Add another stats object's counters into this one (used by
+        :func:`measuring` to keep a measured block's counters)."""
         items = other.counters if isinstance(other, PerfStats) else other
         self.counters.update(items)
 

@@ -10,7 +10,8 @@ isomorphism** (the core is unique up to isomorphism; sizes agree exactly).
 Also covered here: the shared persistent fold tier (fingerprints are
 byte-identical across engines, so a fold written by one engine is a disk hit
 for the other), the ``facts_of`` / ``facts_with`` decode memo counter, the
-``choose_core_backend`` dispatch policy, and the ``repro core`` CLI.
+``choose_core_backend`` dispatch policy, the SQL core's join-width limit,
+and the ``repro core`` CLI.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.engine.hom_kernel import (
     find_homomorphism_indexed,
 )
 from repro.engine.homomorphism import is_homomorphism
-from repro.engine.sql_backend import sql_core, sql_core_supported
+from repro.engine.sql_backend import MAX_JOIN_TABLES, sql_core_supported
 from repro.errors import ChaseError
 from repro.logic.parser import parse_instance
 
@@ -243,38 +244,12 @@ class TestSqlCore:
     def test_supported_on_plain_instances(self):
         assert sql_core_supported(parse_instance("R(a,_x), R(a,b)"))
 
-    def test_duckdb_explicit_requires_module(self):
-        try:
-            import duckdb  # noqa: F401
-        except ModuleNotFoundError:
-            pass
-        else:
-            pytest.skip("duckdb installed; the graceful-absence path is moot")
-        with pytest.raises(ChaseError):
-            sql_core(parse_instance("R(a,_x), R(a,b)"), use_duckdb=True)
-
-    def test_duckdb_session_when_available(self):
-        pytest.importorskip("duckdb")
-        instance = parse_instance("R(a,_x), R(a,b), R(_y,b)")
-        with perf.measuring() as stats:
-            result = sql_core(instance, use_duckdb=True)
-        assert stats.get("core.sql.duckdb_sessions") == 1
-        assert result.isomorphic(core(instance, backend="tuple"))
-
-
-class TestAnalyzerBackends:
-    """Analyzers built on core() return identical verdicts on every backend."""
-
-    @pytest.mark.parametrize("backend", BACKENDS + ["auto"])
-    def test_cq_equivalent_backend_independent(self, backend):
-        from repro.core.cq_equivalence import cq_equivalent
-        from repro.logic.parser import parse_tgd
-
-        a = [parse_tgd("S(x,y) -> exists z . R(x,z)")]
-        b = [parse_tgd("S(x,y) -> exists w . R(x,w)")]
-        c = [parse_tgd("S(x,y) -> R(x,y)")]
-        assert bool(cq_equivalent(a, b, backend=backend))
-        assert not bool(cq_equivalent(a, c, backend=backend))
+    def test_block_wider_than_join_limit_raises_chase_error(self):
+        spokes = MAX_JOIN_TABLES + 6
+        star = parse_instance(", ".join(f"R(_hub, v{i})" for i in range(spokes)))
+        with pytest.raises(ChaseError, match="join limit"):
+            core(star, backend="sql")
+        assert core(star, backend="columnar") == star
 
 
 class TestCoreCli:

@@ -1,15 +1,13 @@
-"""Differential tests for the delta-driven engine and the parallel sweep.
+"""Differential tests for the delta-driven engine.
 
 The incremental engines (InstanceBuilder-backed chases, the semi-naive egd
 fixpoint, the memoized nested chase) must agree with the seed baselines kept
-in :mod:`repro.engine.naive`, and the parallel `implies_tgd` sweep must agree
-with the serial one -- including the failing-pattern diagnostics.
+in :mod:`repro.engine.naive`.
 """
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import perf
@@ -153,32 +151,6 @@ class TestNestedChaseAgreement:
         via_nested = chase(source, [tgd])
         via_so = chase_so_tgd(source, _rename_functions_apart(tgd.skolemize(), "d0_"))
         assert via_nested == via_so or via_nested.isomorphic(via_so)
-
-
-class TestParallelImpliesAgreesWithSerial:
-    PAIRS = [
-        ([parse_tgd("S2(x2) -> exists z . R(x2, z)")],
-         parse_nested_tgd("S1(x1) -> exists y . (S2(x2) -> R(x2, y))")),
-        ([parse_tgd("S1(x1) & S2(x2) -> R(x2, x1)")],
-         parse_nested_tgd("S1(x1) -> exists y . (S2(x2) -> R(x2, y))")),
-        ([parse_tgd("S(x,y) -> exists z . R(x,z)")],
-         parse_nested_tgd("S(x,y) -> R(x,y)")),
-        ([parse_nested_tgd(
-            "S(x1,x2) -> exists y . (R(y,x2) & (S(x1,x3) -> R(y,x3)))")],
-         parse_nested_tgd("S(u1,u2) -> exists w . (R(w,u2) & (S(u1,u3) -> R(w,u3)))")),
-    ]
-
-    # The pool drives the from-scratch sweep; incremental sweeps run serially.
-    @pytest.mark.parametrize("lhs,rhs", PAIRS)
-    def test_verdict_and_diagnostics_agree(self, lhs, rhs):
-        serial = implies_tgd(lhs, rhs, incremental=False)
-        parallel = implies_tgd(lhs, rhs, incremental=False, parallel=2)
-        assert serial.holds == parallel.holds
-        assert serial.k == parallel.k
-        assert serial.patterns_checked == parallel.patterns_checked
-        assert serial.failing_pattern == parallel.failing_pattern
-        assert serial.counterexample_source == parallel.counterexample_source
-        assert serial.counterexample_target == parallel.counterexample_target
 
 
 class TestChaseCache:

@@ -11,7 +11,6 @@ The kernel (:mod:`repro.engine.hom_kernel`) and the new worklist core
 from __future__ import annotations
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 from repro.engine.core_instance import clear_fold_cache, core, is_core
@@ -121,16 +120,6 @@ class TestCoreAgreesWithNaive:
 
     def test_empty_instance(self):
         assert len(core(Instance(()))) == 0
-
-    @pytest.mark.parametrize("workers", [2])
-    @settings(max_examples=10, deadline=None)
-    @given(instance=instances(max_facts=6))
-    def test_parallel_matches_serial(self, instance, workers):
-        clear_fold_cache()
-        serial = core(instance)
-        clear_fold_cache()
-        parallel = core(instance, parallel=workers)
-        assert serial.facts == parallel.facts
 
     def test_isomorphic_blocks_fold_to_one(self):
         instance = parse_instance(

@@ -88,29 +88,6 @@ def test_differential_random_nested_tgds(lhs, rhs):
         pass  # both sweeps respect max_patterns; the bound itself is tested below
 
 
-def test_parallel_incremental_matches_serial():
-    # the pool drives the from-scratch sweep; incremental sweeps run serially
-    clear_chase_cache()
-    serial = implies_tgd([TAU_PRIME], TAU, incremental=False)
-    clear_chase_cache()
-    parallel = implies_tgd([TAU_PRIME], TAU, incremental=False, parallel=2)
-    assert parallel.holds == serial.holds
-    assert parallel.patterns_checked == serial.patterns_checked
-    assert parallel.failing_pattern == serial.failing_pattern
-    assert parallel.counterexample_source == serial.counterexample_source
-    assert parallel.counterexample_target == serial.counterexample_target
-
-
-def test_incremental_sweep_ignores_parallel():
-    clear_chase_cache()
-    serial = implies_tgd([TAU_PRIME], TAU)
-    clear_chase_cache()
-    with perf.measuring() as stats:
-        parallel = implies_tgd([TAU_PRIME], TAU, parallel=2)
-    assert stats.get("implies.parallel_chunks") == 0
-    assert parallel == serial
-
-
 # ------------------------------------------------- parent -> child invariants
 
 

@@ -7,7 +7,10 @@ deliverable (e)).
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -35,6 +38,22 @@ class TestExports:
     @pytest.mark.parametrize("module_name", PUBLIC_MODULES)
     def test_module_imports(self, module_name):
         importlib.import_module(module_name)
+
+    def test_decision_procedures_import_no_process_pool(self):
+        """The decision procedures run in-process: importing them loads no
+        ``multiprocessing``."""
+        code = (
+            "import sys\n"
+            "import repro, repro.core.implication, repro.engine.core_instance\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestDocumentation:

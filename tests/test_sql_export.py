@@ -4,8 +4,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.engine.chase import chase
-from repro.errors import DependencyError
+from repro.engine.chase import chase, compile_clause_program
+from repro.engine.dispatch import SQL_AUTO_THRESHOLD, choose_backend
+from repro.engine.sql_backend import MAX_JOIN_TABLES, sql_compilable
+from repro.errors import ChaseError, DependencyError
 from repro.export.sql import (
     compile_mapping_to_sql,
     execute_exchange,
@@ -103,6 +105,41 @@ class TestExecution:
         result = execute_exchange(source, [parse_tgd("S(x,y) -> R(x)")])
         expected = render_instance_values(chase(source, [parse_tgd("S(x,y) -> R(x)")]))
         assert result.isomorphic(expected)
+
+
+def _chain_tgd(atoms: int):
+    """``S(x0,x1) & ... & S(x{n-1},x{n}) -> R(x0,x{n})``: an *atoms*-wide join."""
+    body = " & ".join(f"S(x{i},x{i + 1})" for i in range(atoms))
+    return parse_tgd(f"{body} -> R(x0,x{atoms})")
+
+
+class TestJoinWidthLimit:
+    """Bodies wider than SQLite's join limit never reach SQLite."""
+
+    LOOP = parse_instance("S(a,a)")
+
+    def test_wide_body_raises_chase_error_on_sql(self):
+        with pytest.raises(ChaseError, match="join limit"):
+            execute_exchange(self.LOOP, [_chain_tgd(MAX_JOIN_TABLES + 1)], backend="sql")
+
+    def test_wide_body_is_not_sql_compilable(self):
+        clauses = compile_clause_program([_chain_tgd(MAX_JOIN_TABLES + 1)])
+        assert not sql_compilable(clauses)
+        choice = choose_backend(
+            "auto", input_size=SQL_AUTO_THRESHOLD, clauses=clauses, certified=True
+        )
+        assert choice.backend == "columnar"
+
+    def test_wide_body_answers_on_tuple(self):
+        result = execute_exchange(
+            self.LOOP, [_chain_tgd(MAX_JOIN_TABLES + 1)], backend="tuple"
+        )
+        assert result == parse_instance("R(a,a)")
+
+    def test_body_at_the_limit_runs_on_sql(self):
+        tgd = _chain_tgd(MAX_JOIN_TABLES)
+        assert sql_compilable(compile_clause_program([tgd]))
+        assert execute_exchange(self.LOOP, [tgd], backend="sql") == parse_instance("R(a,a)")
 
 
 class TestPropertySQLvsChase:

@@ -108,8 +108,7 @@ class TestFlatSubsumption:
         assert not trivially_implied([parse_tgd("T(x) -> U(x)")], INTRO_RENAMED)
 
 
-# A corpus of (sigma_set, tau) queries covering holds/fails, flat/nested, and
-# the pairs exercised by the parallel-sweep differential tests.
+# A corpus of (sigma_set, tau) queries covering holds/fails, flat/nested.
 CORPUS = [
     ([parse_tgd("S2(x2) -> exists z . R(x2, z)")],
      parse_nested_tgd("S1(x1) -> exists y . (S2(x2) -> R(x2, y))")),
