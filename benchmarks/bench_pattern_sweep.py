@@ -6,7 +6,10 @@ every k-pattern independently; the DAG-incremental sweep (the default of
 by the delta one new leaf contributes.  This benchmark measures both on
 implication queries whose right-hand sides nest progressively deeper, cold
 (empty chase cache) and warm (second run), and counts how many incremental
-homomorphism checks extended the parent pattern's witness.
+homomorphism checks extended the parent pattern's witness.  Each row also
+times pattern generation alone (``generation_s``: the incremental sweep's
+generator drained without chasing anything) and counts chase-cache hits, so
+a change in ``incremental_cold_s`` can be traced to the layer that moved.
 
 Run as a script to record the results in ``BENCH_sweep.json`` (other axes
 already in the file, such as ``warm_restart``, are kept)::
@@ -24,7 +27,7 @@ from __future__ import annotations
 import time
 
 from repro import perf
-from repro.core.implication import clear_chase_cache, implies_tgd
+from repro.core.implication import _iter_pattern_levels, clear_chase_cache, implies_tgd
 from repro.core.patterns import count_k_patterns
 from repro.logic.parser import parse_nested_tgd, parse_tgd
 
@@ -70,11 +73,24 @@ def _timed_sweep(lhs, rhs, *, incremental, cold=True, repeat=1):
     return best, result
 
 
+def _timed_generation(rhs, k, *, repeat=1):
+    """Best-of-*repeat* wall time of draining the sweep's pattern generator."""
+    best = None
+    for __ in range(repeat):
+        start = time.perf_counter()
+        list(_iter_pattern_levels(rhs, k))
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best
+
+
 def sweep_workload(label, lhs, rhs, *, repeat=1):
     """Measure one workload every way; return a result row."""
     from repro.core.implication import _normalize_lhs, implication_bound
 
     k = implication_bound(_normalize_lhs(lhs), rhs)
+    # generation first, before any sweep of this workload has run
+    generation_s = _timed_generation(rhs, k, repeat=repeat)
     fresh_s, fresh = _timed_sweep(lhs, rhs, incremental=False, repeat=repeat)
     perf.reset()
     incr_s, incr = _timed_sweep(lhs, rhs, incremental=True, repeat=repeat)
@@ -82,6 +98,7 @@ def sweep_workload(label, lhs, rhs, *, repeat=1):
     # every cold repetition contributes the same counts; report one run's worth
     hits_per_run = counters.get("implies.sweep.incremental_hits", 0) // repeat
     reuse_per_run = counters.get("implies.witness_reuse", 0) // repeat
+    cache_hits_per_run = counters.get("implies.cache_hits", 0) // repeat
     # warm: same query again without clearing the cache
     warm_s, __ = _timed_sweep(lhs, rhs, incremental=True, cold=False,
                               repeat=repeat)
@@ -95,9 +112,11 @@ def sweep_workload(label, lhs, rhs, *, repeat=1):
         "fresh_cold_s": round(fresh_s, 6),
         "incremental_cold_s": round(incr_s, 6),
         "incremental_warm_s": round(warm_s, 6),
+        "generation_s": round(generation_s, 6),
         "speedup_cold": round(fresh_s / incr_s, 2) if incr_s else float("inf"),
         "incremental_hits": hits_per_run,
         "witness_reuse": reuse_per_run,
+        "cache_hits": cache_hits_per_run,
     }
 
 
@@ -157,6 +176,8 @@ def main(argv=None) -> dict:
               f"fresh {row['fresh_cold_s']:.4f}s  "
               f"incr {row['incremental_cold_s']:.4f}s  "
               f"warm {row['incremental_warm_s']:.4f}s  "
+              f"gen {row['generation_s']:.4f}s  "
+              f"hits {row['cache_hits']:>5}  "
               f"reuse {row['witness_reuse']:>5}  "
               f"speedup {row['speedup_cold']:.1f}x")
     print(f"wrote {args.json}")

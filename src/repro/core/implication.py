@@ -328,30 +328,32 @@ class _GenNode:
 
     The canonical :class:`Pattern` keeps children sorted, which reshuffles
     node positions as leaves are attached; a generation tree keeps the
-    attachment order and caches every node's canonical subtree (``canon``),
-    so a candidate attachment rebuilds canonical patterns only along the
-    root path instead of over the whole tree.  Generation trees are
-    persistent: a child pattern's tree shares every subtree of its parent's
-    tree except the new leaf's root path, which is copied.  A shared node
-    sits at one position per tree but under different ancestors, so nodes
-    carry no parent links; positions are addressed by ancestor chains
-    ``(parent, chain)`` ending in None at the root.  ``assignment`` is the
-    node's variable assignment, recorded by the sweep when it visits the
-    pattern that added the node; a leaf attached below inherits it.
+    attachment order and caches every node's canonical sort key ``key``,
+    the plain nested tuple ``(part_id, sorted child keys)``.  It equals
+    :meth:`Pattern.sort_key`, so equal keys mean isomorphic subtrees, and no
+    interned :class:`Pattern` is built during generation.  Generation trees
+    are persistent: a child pattern's tree shares every subtree of its
+    parent's tree except the new leaf's root path, which is copied.  A
+    shared node sits at one position per tree but under different
+    ancestors, so nodes carry no parent links; positions are addressed by
+    ancestor chains ``(parent, chain)`` ending in None at the root.
+    ``assignment`` is the node's variable assignment, recorded by the sweep
+    when it visits the pattern that added the node; a leaf attached below
+    inherits it.
     """
 
-    __slots__ = ("part_id", "children", "canon", "assignment")
+    __slots__ = ("part_id", "children", "key", "assignment")
 
     def __init__(self, part_id: int, children: tuple = (), assignment: dict | None = None):
         self.part_id = part_id
         self.children = children
-        self.canon = Pattern(part_id, tuple(child.canon for child in children))
+        self.key = (part_id, tuple(sorted(child.key for child in children)))
         self.assignment = assignment
 
 
 def _collect_attach_positions(node: _GenNode, chain, out: list) -> None:
     """Preorder ``(node, ancestor chain)`` attach positions, skipping
-    duplicate-canon siblings.
+    siblings whose key an earlier sibling already has.
 
     Attaching a leaf anywhere inside a subtree isomorphic to an
     already-visited sibling subtree yields the same canonical pattern (swap
@@ -359,41 +361,38 @@ def _collect_attach_positions(node: _GenNode, chain, out: list) -> None:
     """
     out.append((node, chain))
     below = (node, chain)
-    seen: set[Pattern] = set()
+    seen: set[tuple] = set()
     for child in node.children:
-        if child.canon not in seen:
-            seen.add(child.canon)
+        if child.key not in seen:
+            seen.add(child.key)
             _collect_attach_positions(child, below, out)
 
 
-def _attach_candidate(node: _GenNode, chain, part_id: int, k: int) -> Pattern | None:
-    """The canonical pattern after attaching a *part_id* leaf under *node*
-    (whose ancestors are *chain*), or None when the attachment would break
-    the clone bound *k*.
+def _attach_candidate(node: _GenNode, chain, part_id: int, k: int) -> tuple | None:
+    """The sort key of the pattern after attaching a *part_id* leaf under
+    *node* (whose ancestors are *chain*), or None when the attachment would
+    break the clone bound *k*.
 
     Only the sibling groups along the root path change: the new leaf joins
     *node*'s children, and each ancestor sees exactly one child subtree
     replaced -- so checking those multiplicities *is* ``is_k_pattern(k)``
-    (the parent pattern is a k-pattern already).  Canonical subtrees of
-    untouched siblings come from the ``canon`` cache, so a candidate costs
-    O(depth) interned constructions, not a full-tree rebuild.
+    (the parent pattern is a k-pattern already).  Keys of untouched
+    siblings come from the tree, so a candidate re-sorts one sibling list
+    per ancestor and builds no :class:`Pattern`.
     """
-    leaf = Pattern(part_id)
-    current = node
-    current_pat = Pattern(node.part_id, tuple(c.canon for c in node.children) + (leaf,))
-    if current_pat.multiplicity(leaf) > k:
-        return None
-    while chain is not None:
-        parent, chain = chain
-        kids = tuple(
-            current_pat if child is current else child.canon
-            for child in parent.children
-        )
-        parent_pat = Pattern(parent.part_id, kids)
-        if parent_pat.multiplicity(current_pat) > k:
+    current, key = node, (part_id, ())
+    kids = [child.key for child in node.children]
+    while True:
+        kids.append(key)
+        if kids.count(key) > k:
             return None
-        current, current_pat = parent, parent_pat
-    return current_pat
+        kids.sort()
+        key = (current.part_id, tuple(kids))
+        if chain is None:
+            return key
+        parent, chain = chain
+        kids = [child.key for child in parent.children if child is not current]
+        current = parent
 
 
 def _attach_leaf(node: _GenNode, chain, leaf: _GenNode) -> _GenNode:
@@ -413,13 +412,15 @@ def _attach_leaf(node: _GenNode, chain, leaf: _GenNode) -> _GenNode:
 class _SpecEntry:
     """One pattern of the sweep DAG: its producing edge and canonical form.
 
-    ``parent`` is the index of the (node_count - 1)-node pattern this one
-    extends (-1 for the root) and ``part`` the part identifier of the leaf
-    the extension attaches.
+    ``key`` is the pattern's sort key (:meth:`Pattern.sort_key`); the
+    interned :class:`Pattern` is rebuilt from it only for a failing
+    pattern.  ``parent`` is the index of the (node_count - 1)-node pattern
+    this one extends (-1 for the root) and ``part`` the part identifier of
+    the leaf the extension attaches.
     """
 
     index: int
-    pattern: Pattern
+    key: tuple
     parent: int
     part: int
 
@@ -428,48 +429,47 @@ def _iter_pattern_levels(rhs: NestedTgd, k: int):
     """Yield ``P_k(rhs)`` level by level as lists of ``(entry, attach, leaf)``.
 
     Level ``n`` holds the k-patterns with ``n`` nodes, each produced by one
-    leaf attachment to a level ``n - 1`` pattern; within a level, entries are
-    in canonical (sort-key) order.  The concatenation of the levels is
+    leaf attachment to a level ``n - 1`` pattern.  Candidates are sort-key
+    tuples, deduplicated in a dict where the first producer wins; a level
+    is emitted in sorted-key order, so the concatenation of the levels is
     exactly ``enumerate_k_patterns(rhs, k)``'s order.  ``leaf`` is the new
     node of the entry's generation tree and ``attach`` the parent pattern's
     node it was attached under (None for the root pattern, whose leaf is
     its root); the consumer records the leaf's ``assignment`` before asking
-    for the next level, whose trees share the leaf.  Generation is lazy: a sweep that fails
-    early never materializes the deeper frontier.
+    for the next level, whose trees share the leaf.  Generation is lazy: a
+    sweep that fails early never materializes the deeper frontier.
 
-    Completeness: every k-pattern with ``n > 1`` nodes has a k-pattern parent
-    with ``n - 1`` nodes -- remove a leaf reached by descending into a child
-    of minimum node count at every step.  The modified subtree along that
-    path ends up strictly smaller than every sibling, so it cannot collide
-    with one and no sibling multiplicity ever rises (the correctness argument
-    is spelled out in ``docs/algorithms.md``).
+    Completeness: every k-pattern with ``n > 1`` nodes has a k-pattern
+    parent with ``n - 1`` nodes (``docs/algorithms.md``).  Parents are
+    scanned in key order, so an entry's parent is the smallest-key k-pattern
+    one leaf deletion away.  That rule, not a canonical augmentation that
+    admits one parent per child, keeps siblings on a shared parent's
+    fresh-constant numbering, which is what lets their canonical sources
+    coincide and hit the chase cache.
     """
     root = _GenNode(1)
-    yield [(_SpecEntry(0, root.canon, -1, 1), None, root)]
+    yield [(_SpecEntry(0, root.key, -1, 1), None, root)]
     trees: dict[int, _GenNode] = {0: root}
     level = [0]
     next_index = 1
     while level:
-        candidates: dict[Pattern, tuple] = {}
+        candidates: dict[tuple, tuple] = {}
         for index in level:
             positions: list = []
             _collect_attach_positions(trees[index], None, positions)
             for node, chain in positions:
                 for part in rhs.children_of(node.part_id):
-                    child_pattern = _attach_candidate(node, chain, part, k)
-                    if child_pattern is None or child_pattern in candidates:
-                        continue
-                    candidates[child_pattern] = (index, node, chain, part)
+                    key = _attach_candidate(node, chain, part, k)
+                    if key is not None and key not in candidates:
+                        candidates[key] = (index, node, chain, part)
         entries: list[tuple[_SpecEntry, _GenNode, _GenNode]] = []
         new_level: list[int] = []
         trees = {}
-        for pattern in sorted(candidates, key=lambda p: p.sort_key()):
-            parent_index, node, chain, part = candidates[pattern]
+        for key in sorted(candidates):
+            parent_index, node, chain, part = candidates[key]
             leaf = _GenNode(part)
             trees[next_index] = _attach_leaf(node, chain, leaf)
-            entries.append(
-                (_SpecEntry(next_index, pattern, parent_index, part), node, leaf)
-            )
+            entries.append((_SpecEntry(next_index, key, parent_index, part), node, leaf))
             new_level.append(next_index)
             next_index += 1
         if not entries:
@@ -627,7 +627,7 @@ def _sweep_incremental_serial(
                 holds=False,
                 k=k,
                 patterns_checked=checked,
-                failing_pattern=entry.pattern,
+                failing_pattern=Pattern.from_sort_key(entry.key),
                 counterexample_source=Instance(state.source_facts),
                 counterexample_target=Instance(state.targets),
             )

@@ -97,6 +97,12 @@ class Pattern:
         """A canonical structural key (two patterns are isomorphic iff keys equal)."""
         return self._sort_key
 
+    @classmethod
+    def from_sort_key(cls, key: tuple) -> "Pattern":
+        """The interned pattern whose :meth:`sort_key` is *key* (its inverse)."""
+        part_id, children = key
+        return cls(part_id, tuple(cls.from_sort_key(child) for child in children))
+
     @property
     def node_count(self) -> int:
         return self._node_count
@@ -166,9 +172,9 @@ class Pattern:
         """Return the pattern with a new leaf labeled *leaf_part_id* under *path*.
 
         *path* addresses the node (the empty path is the root) that receives
-        the new child.  This is the single-edge producer of the DAG-incremental
-        sweep: every pattern with ``n > 1`` nodes arises from a pattern with
-        ``n - 1`` nodes by one such leaf attachment.
+        the new child.  Every pattern with ``n > 1`` nodes arises from a
+        pattern with ``n - 1`` nodes by one such leaf attachment (the
+        DAG-incremental sweep makes the same move on sort keys).
         """
         if not path:
             return Pattern(self.part_id, self.children + (Pattern(leaf_part_id),))

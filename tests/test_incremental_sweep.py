@@ -17,7 +17,7 @@ import hypothesis.strategies as st
 from repro import perf
 from repro.core import implication
 from repro.core.implication import clear_chase_cache, implies_tgd
-from repro.core.patterns import Pattern, count_k_patterns
+from repro.core.patterns import Pattern, count_k_patterns, enumerate_k_patterns
 from repro.engine.chase import chase
 from repro.engine.homomorphism import find_homomorphism, is_homomorphism
 from repro.errors import DependencyError, ResourceLimitExceeded
@@ -138,6 +138,40 @@ def test_witness_falls_back_to_a_full_search():
     assert stats.get("implies.witness_fallbacks") > 0
 
 
+# -------------------------------------------------------- generation DAG
+
+
+def _leaf_deletions(pattern):
+    """Every ``(smaller, part)``: *pattern* with one *part* leaf deleted."""
+    for index, child in enumerate(pattern.children):
+        rest = pattern.children[:index] + pattern.children[index + 1:]
+        if not child.children:
+            yield Pattern(pattern.part_id, rest), child.part_id
+        else:
+            for smaller, part in _leaf_deletions(child):
+                yield Pattern(pattern.part_id, rest + (smaller,)), part
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.data_too_large])
+@given(nested_tgds(max_depth=2), st.integers(1, 3))
+def test_levels_enumerate_k_patterns_from_smallest_parents(rhs, k):
+    """The levels, concatenated, are ``enumerate_k_patterns`` in order, and
+    each entry's parent is the smallest-key k-pattern one leaf deletion away."""
+    if count_k_patterns(rhs, k) > 2_000:
+        return
+    entries = [entry for level in implication._iter_pattern_levels(rhs, k)
+               for entry, __, __ in level]
+    expected = enumerate_k_patterns(rhs, k)
+    assert [entry.key for entry in entries] == [p.sort_key() for p in expected]
+    assert [entry.index for entry in entries] == list(range(len(entries)))
+    for entry, pattern in zip(entries[1:], expected[1:]):
+        deletions = {(p, part) for p, part in _leaf_deletions(pattern) if p.is_k_pattern(k)}
+        parent = min((p for p, __ in deletions), key=Pattern.sort_key)
+        assert entries[entry.parent].key == parent.sort_key()
+        assert (parent, entry.part) in deletions
+
+
 # ----------------------------------------------------------- perf counters
 
 
@@ -153,6 +187,26 @@ def test_incremental_hits_counted_on_ex310():
     # ... and every non-root pattern extends its parent's witness
     assert snap.get("implies.witness_reuse", 0) == result.patterns_checked - 1
     assert snap.get("implies.witness_fallbacks", 0) == 0
+
+
+def test_deep_query_counters_are_pinned():
+    """The deep query of the request benchmark: siblings produced from one
+    parent share its fresh-constant numbering, so most children's canonical
+    sources hit the chase cache, and every child extends its parent's
+    witness."""
+    lhs = [parse_tgd("S1(x1) & S2(x2) -> R2(x1,x2)"),
+           parse_tgd("S1(x1) & S2(x2) & S3(x3) -> R3(x1,x3)")]
+    rhs = parse_nested_tgd(
+        "S1(x1) -> exists y . (S2(x2) -> R2(y,x2) & (S3(x3) -> R3(y,x3)))"
+    )
+    clear_chase_cache()
+    with perf.measuring() as stats:
+        result = implies_tgd(lhs, rhs)
+    assert (result.holds, result.patterns_checked) == (True, 3125)
+    assert stats.get("implies.cache_hits") == 2784
+    assert stats.get("implies.cache_misses") == 341
+    assert stats.get("implies.sweep.incremental_hits") == 340
+    assert stats.get("implies.witness_reuse") == 3124
 
 
 def test_warm_sweep_hits_cache_for_every_pattern():

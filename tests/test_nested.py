@@ -165,3 +165,40 @@ class TestEquality:
         left = parse_nested_tgd("S(x) -> (T(y) -> R(x,y))")
         right = parse_nested_tgd("S(x) & T(y) -> R(x,y)")
         assert left != right
+
+
+DEEP = parse_nested_tgd("S1(x1) -> exists y . (S2(x2) -> R2(y,x2) & (S3(x3) -> R3(y,x3)))")
+
+
+class TestPartBounds:
+    """Part identifiers run 1..part_count; anything else is a DependencyError,
+    not a negative-index wraparound or a bare KeyError/IndexError."""
+
+    @pytest.mark.parametrize("pid", [0, -1, 4, 99])
+    @pytest.mark.parametrize(
+        "accessor", ["part", "parent", "children_of", "ancestors", "skolemized_head"]
+    )
+    def test_out_of_range_part_id_raises(self, accessor, pid):
+        with pytest.raises(DependencyError, match="outside 1..3"):
+            getattr(DEEP, accessor)(pid)
+
+    def test_in_range_part_ids_still_answer(self):
+        assert [DEEP.parent(pid) for pid in DEEP.part_ids()] == [None, 1, 2]
+        assert DEEP.children_of(3) == ()
+        assert DEEP.ancestors(3) == (1, 2)
+
+
+class TestSkolemizedHeadMemo:
+    def test_matches_unmemoized_computation(self, sigma_star):
+        skolem = {var: sigma_star.skolem_term(var)
+                  for var in sigma_star.existential_variables()}
+        for pid in sigma_star.part_ids():
+            expected = tuple(atom.substitute(skolem) for atom in sigma_star.part(pid).head)
+            assert sigma_star.skolemized_head(pid) == expected
+
+    def test_repeat_calls_return_the_same_tuple(self):
+        tgd = parse_nested_tgd("S1(x1) -> exists y . (S2(x2) -> R2(y,x2))")
+        assert tgd._skolemized_heads == {}  # nothing computed at parse time
+        first = tgd.skolemized_head(2)
+        assert tgd.skolemized_head(2) is first
+        assert first == (Atom("R2", (FuncTerm("f_y", (Variable("x1"),)), Variable("x2"))),)
