@@ -19,14 +19,14 @@ Three workloads, each with a predictable asymptotic gap:
   as :func:`repro.engine.naive.core_naive` (restricted immutable instance
   per candidate null, restart per elimination).
 
-Two further axes compare the columnar/SQL backends of this PR's core stack:
+Two further axes compare the id-space and SQL backends of the core stack:
 
 - **columnar kernel** (``columnar_*`` keys): the id-space kernel
   (:mod:`repro.engine.hom_kernel_columnar`) against the generic kernel
   decoding the *same* :class:`ColumnarInstance` target through the
   ``FactIndex`` protocol, on every hom workload above.
 - **core backends** (``core_backends`` key): cold-cache
-  ``core(backend="tuple"/"columnar"/"sql")`` wall times on the star chase.
+  ``core(backend="columnar"/"sql")`` wall times on the star chase.
 
 Run as a script to record the comparison in ``BENCH_hom.json``::
 
@@ -157,22 +157,19 @@ def compare_hom_columnar(workload: str, n: int) -> dict:
 
 
 def compare_core_backends(n: int) -> dict:
-    """Cold-cache core wall times across the three backends on the star chase."""
+    """Cold-cache core wall times of the two core engines on the star chase."""
     chased = star_chase(n)
 
     def cold(backend: str) -> Instance:
         clear_fold_cache()
         return core(chased, backend=backend)
 
-    times: dict[str, float] = {}
-    results: dict[str, Instance] = {}
-    for backend in ("tuple", "columnar", "sql"):
-        times[backend], results[backend] = _best_of(cold, backend)
-    for backend in ("columnar", "sql"):
-        assert len(results[backend]) == len(results["tuple"]) == n
-        assert results[backend].isomorphic(results["tuple"])
-    return {"n": n, "chase_facts": len(chased), "tuple_s": times["tuple"],
-            "columnar_s": times["columnar"], "sql_s": times["sql"]}
+    columnar_s, columnar = _best_of(cold, "columnar")
+    sql_s, sql = _best_of(cold, "sql")
+    assert len(columnar) == len(sql) == n
+    assert sql.isomorphic(columnar)
+    return {"n": n, "chase_facts": len(chased), "columnar_s": columnar_s,
+            "sql_s": sql_s}
 
 
 def _cold_core(instance: Instance) -> Instance:
@@ -228,7 +225,7 @@ def test_columnar_kernel_hub_gate():
     assert row["speedup"] >= 1.0, row
 
 
-@pytest.mark.parametrize("backend", ["tuple", "columnar", "sql"])
+@pytest.mark.parametrize("backend", ["columnar", "sql"])
 def test_scale_core_backends(benchmark, backend):
     chased = star_chase(SMOKE_CORE_SIZES[-1])
 
@@ -288,8 +285,7 @@ def main(argv=None) -> dict:
                   f"decode {row['decode_s']:.4f}s  speedup {row['speedup']:.1f}x")
     for row in report["core_backends"]:
         print(f"core_backends      n={row['n']:4d}  "
-              f"tuple {row['tuple_s']:.4f}s  columnar {row['columnar_s']:.4f}s  "
-              f"sql {row['sql_s']:.4f}s")
+              f"columnar {row['columnar_s']:.4f}s  sql {row['sql_s']:.4f}s")
     print(f"wrote {args.json}")
     # The columnar-kernel hub gate holds at every size tier (smoke included:
     # the perf-smoke CI job runs this script with --smoke).

@@ -335,22 +335,6 @@ def engine_counters() -> None:
         f"(core size {len(folded)})"
     )
 
-    # The same core in id-space: fingerprints are byte-identical to the
-    # tuple engine's, so the two share one persistent fold tier.
-    clear_fold_cache()
-    with perf.measuring() as stats:
-        folded = core(chased_star, backend="columnar")
-    print(
-        f"columnar core (same star): "
-        f"blocks = {stats.get('core.columnar.blocks')}, "
-        f"iso folds = {stats.get('core.columnar.iso_folds')}, "
-        f"memo hits/misses = {stats.get('core.columnar.memo_hits')}"
-        f"/{stats.get('core.columnar.memo_misses')}, "
-        f"eliminations = {stats.get('core.columnar.eliminations')}, "
-        f"probe memo hits = {stats.get('backend.columnar.probe_hits')} "
-        f"(core size {len(folded)})"
-    )
-
     # And pushed down to SQL: eliminating homomorphisms as SELECT joins,
     # retractions as exact-row DELETEs.
     with perf.measuring() as stats:

@@ -17,7 +17,7 @@
 - :mod:`repro.engine.sql_backend` -- chase programs compiled to SQLite
   (SQL pushdown), results decoded back through the intern tables;
 - :mod:`repro.engine.dispatch` -- backend selection (tuple / columnar / sql
-  / auto) for the chase entry points;
+  / auto) for the chase and core entry points;
 - :mod:`repro.engine.model_check` -- ``(I, J) |= sigma`` for every formalism.
 """
 

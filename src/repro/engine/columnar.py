@@ -38,8 +38,8 @@ The store also supports **tombstone deletion** (:meth:`ColumnarInstance.
 discard_row` / :meth:`~ColumnarInstance.discard_fact`): a discarded row is
 removed from the dedup map and the inverted index and recorded in the
 group's ``dead`` set, so full-scan fallbacks skip it while the columns keep
-their dense layout.  The chase engines never delete; the columnar core
-engine (:mod:`repro.engine.core_instance`) retracts eliminated facts this
+their dense layout.  The chase engines never delete; the core engine
+(:mod:`repro.engine.core_instance`) retracts eliminated facts this
 way, and every read path filters dead rows only behind an ``if group.dead``
 guard, keeping the append-only hot paths unchanged.
 """

@@ -25,12 +25,16 @@ Engine structure (the seed loop -- restricted instance per candidate null,
 restart per elimination -- is preserved as
 :func:`repro.engine.naive.core_naive` for differential testing):
 
-- **One mutable target.**  The instance lives in an
-  :class:`~repro.engine.builder.InstanceBuilder`; an elimination *discards*
-  the block facts that left the image instead of rebuilding an immutable
-  instance, and "J minus the facts containing x" is expressed as a
-  ``forbidden`` fact set (from the per-value reverse index) passed to the
-  homomorphism kernel, never materialized.
+- **One id-space store.**  The instance is encoded once into a
+  :class:`~repro.engine.columnar.ColumnarInstance`, values interned in repr
+  order.  f-blocks are connected components of a union-find over null value
+  ids, processed in order of their least null id, and the kernel breaks
+  ties by id, so the returned core does not depend on ``PYTHONHASHSEED``.  An elimination
+  tombstones the block rows that left the image (``discard_row``), and
+  "J minus the facts containing x" is a per-group forbidden row set read off
+  the inverted index and passed to
+  :func:`~repro.engine.hom_kernel_columnar.solve_encoded`, never
+  materialized.
 - **Block worklist.**  Blocks are processed independently.  An elimination
   only removes facts of the processed block (every image fact already exists
   in J), so other blocks are unaffected; the surviving facts are split into
@@ -40,43 +44,33 @@ restart per elimination -- is preserved as
 - **Block-local folding is context-free and memoized.**  A homomorphism from
   block B into ``B minus facts(x)`` is in particular one into
   ``J minus facts(x)``, so a local fold is a valid elimination in any
-  enclosing instance.  Folds are memoized process-wide in an LRU keyed by a
-  *canonical labeling* of the block (nulls renamed along degree-profile
-  groups), so the isomorphic blocks that chase outputs are full of fold
+  enclosing instance.  Folds are memoized process-wide in an LRU keyed by
+  the content fingerprint of the block's *canonical labeling* (nulls
+  renamed along degree-profile groups, ties broken by the least repr
+  tuple); the value is the indexes of the surviving facts in canonical
+  order.  The isomorphic blocks that chase outputs are full of thus fold
   once -- across blocks and across core calls.  Overly symmetric blocks
-  (too many tie-break permutations) skip the cache and fold directly.
+  (too many tie-break permutations) skip the local fold and are left to the
+  global worklist.
 - **Isomorphic duplicate blocks drop wholesale.**  If B2 is isomorphic to a
   disjoint block B1 of the same instance, the isomorphism maps B2 into
   ``J minus facts(x)`` for every null x of B2 (distinct blocks share no
   nulls), so all of B2 is eliminated by one retraction.  Duplicates are
-  detected by equal canonical forms.
+  detected by equal canonical fingerprints.
 - **Persistent fold tier** (:mod:`repro.cache`, enabled by
-  ``REPRO_CACHE_DIR`` / ``repro.cache.configure``): canonical blocks are
-  already process-independent (nulls renamed to ``Null(("#", i))``), so a
-  memo miss consults an on-disk store keyed by the block's content
-  fingerprint before folding, and computed folds are written through.
-  Disabled by default; the in-memory LRU stays the only tier on hot paths.
+  ``REPRO_CACHE_DIR`` / ``repro.cache.configure``): fingerprints are
+  process-independent, so a memo miss consults an on-disk store before
+  folding, and computed folds are written through.  A payload is the tuple
+  of surviving canonical indexes; anything else is a miss.  Disabled by
+  default; the in-memory LRU stays the only tier on hot paths.
 
-**Backends** (``core(instance, backend=...)``): besides the tuple engine
-above, :class:`_ColumnarCore` runs the same worklist in *id-space* over a
-:class:`~repro.engine.columnar.ColumnarInstance` -- f-blocks are connected
-components of a union-find over integer value ids, canonical labelings
-permute null *ids* and compare memoized repr strings, eliminating
-homomorphisms go through :func:`~repro.engine.hom_kernel_columnar.
-solve_encoded` with per-group forbidden row sets, and eliminations are
-tombstone row discards.  Canonical-block fingerprints are computed from the
-id tuples via :func:`~repro.cache.fingerprint.encode_atom_parts` /
-:func:`~repro.cache.fingerprint.fingerprint_encoded_sequence` -- byte-equal
-to the tuple path's ``fingerprint_fact_sequence``, so both engines share the
-persistent ``SPACE_FOLD`` tier (payloads stay canonical atom tuples; the
-columnar engine decodes them only on the cold disk path).  ``backend="sql"``
-additionally pushes each candidate elimination down to one SELECT join
-(:func:`repro.engine.sql_backend.sql_core`); ``backend="auto"`` resolves
-through :func:`repro.engine.dispatch.choose_core_backend`.  All backends
-return the same core up to isomorphism (exactly: same fact count, same
-constants, isomorphic null structure); the fold each engine picks for a
-symmetric block may differ, which is why cross-engine agreement is stated
-up to isomorphism.
+**Backends** (``core(instance, backend=...)``): ``"columnar"`` (and its
+old alias ``"tuple"``) runs the engine above; ``"sql"`` pushes each
+candidate elimination down to one SELECT join
+(:func:`repro.engine.sql_backend.sql_core`); ``"auto"`` resolves through
+:func:`repro.engine.dispatch.choose_core_backend`.  Both engines return the
+same core up to isomorphism (same fact count, same constants, isomorphic
+null structure); the fold each picks for a symmetric block may differ.
 """
 
 from __future__ import annotations
@@ -86,18 +80,15 @@ from collections import OrderedDict, deque
 from typing import Iterable, Sequence
 
 from repro import perf
-from repro.cache import SPACE_FOLD, disk_get, disk_put, get_store
+from repro.cache import SPACE_FOLD, disk_get, disk_put
 from repro.cache.fingerprint import (
     encode_atom_parts,
     encode_canonical_null,
     encode_value,
     fingerprint_encoded_sequence,
-    fingerprint_fact_sequence,
 )
-from repro.engine.builder import InstanceBuilder
-from repro.engine.columnar import ColumnarInstance, _RelGroup
-from repro.engine.gaifman import fact_blocks
-from repro.engine.hom_kernel import block_homomorphism
+from repro.engine.columnar import ColumnarInstance, ValueTable, _RelGroup
+from repro.engine.dispatch import CORE_SQL_AUTO_THRESHOLD, choose_core_backend
 from repro.engine.hom_kernel_columnar import (
     _CONST as _ID_CONST,
     _VAR as _ID_VAR,
@@ -115,37 +106,45 @@ _Row = tuple[_RelGroup, int]
 #: the nulls of a block; blocks more symmetric than this skip the fold cache.
 _CANON_PERMUTATION_LIMIT = 120
 
-#: Process-wide LRU of block-local folds: canonical fact tuple -> folded
-#: canonical fact tuple.  Sound because a fold is context-free (see module
-#: docstring) and deterministic given the canonical form.
-_FOLD_CACHE: OrderedDict[tuple[Atom, ...], tuple[Atom, ...]] = OrderedDict()
-_FOLD_CACHE_MAX = 1024
-
-#: The columnar twin of ``_FOLD_CACHE``: content fingerprint of the
+#: Process-wide LRU of block-local folds: content fingerprint of the
 #: canonical block -> indexes (into the canonical row order) of the facts
-#: that survive the local fold.  Keyed by fingerprint rather than repr
-#: strings so adversarial names that render alike cannot alias entries.
-_COLUMNAR_FOLD_CACHE: OrderedDict[str, tuple[int, ...]] = OrderedDict()
+#: that survive the local fold.  Sound because a fold is context-free (see
+#: module docstring); keyed by fingerprint rather than repr strings so
+#: adversarial names that render alike cannot alias entries.
+_FOLD_CACHE: OrderedDict[str, tuple[int, ...]] = OrderedDict()
+_FOLD_CACHE_MAX = 1024
 
 
 def clear_fold_cache() -> None:
-    """Empty the process-wide block-fold caches (mainly for tests)."""
+    """Empty the process-wide block-fold cache (mainly for tests)."""
     _FOLD_CACHE.clear()
-    _COLUMNAR_FOLD_CACHE.clear()
 
 
-def _store_columnar_fold(fingerprint: str, surviving: tuple[int, ...]) -> None:
-    _COLUMNAR_FOLD_CACHE[fingerprint] = surviving
-    _COLUMNAR_FOLD_CACHE.move_to_end(fingerprint)
-    while len(_COLUMNAR_FOLD_CACHE) > _FOLD_CACHE_MAX:
-        _COLUMNAR_FOLD_CACHE.popitem(last=False)
-
-
-def _store_fold(key: tuple[Atom, ...], folded: tuple[Atom, ...]) -> None:
-    _FOLD_CACHE[key] = folded
-    _FOLD_CACHE.move_to_end(key)
+def _store_fold(fingerprint: str, surviving: tuple[int, ...]) -> None:
+    _FOLD_CACHE[fingerprint] = surviving
+    _FOLD_CACHE.move_to_end(fingerprint)
     while len(_FOLD_CACHE) > _FOLD_CACHE_MAX:
         _FOLD_CACHE.popitem(last=False)
+
+
+def _disk_fold_get(fingerprint: str, size: int) -> tuple[int, ...] | None:
+    """Look a fold up in the persistent tier, or None.
+
+    Only a non-empty, strictly increasing tuple of ints in ``range(size)``
+    is a usable payload; anything else (a corrupt row, an atom tuple from an
+    older format) is a miss, which the caller recomputes and overwrites.
+    """
+    payload = disk_get(SPACE_FOLD, fingerprint)
+    if (
+        not isinstance(payload, tuple)
+        or not payload
+        or not all(type(index) is int for index in payload)
+        or payload[0] < 0
+        or payload[-1] >= size
+        or any(a >= b for a, b in zip(payload, payload[1:]))
+    ):
+        return None
+    return payload
 
 
 def _has_nulls(facts: Iterable[Atom]) -> bool:
@@ -181,160 +180,15 @@ def _null_components(facts: Sequence[Atom]) -> list[list[Atom]]:
     return list(groups.values())
 
 
-def _eliminating_hom(block: Sequence[Atom], target) -> dict | None:
-    """Find a retraction of *block* into *target* eliminating one of its nulls.
-
-    Tries each null x of the block in repr order; "target minus the facts
-    containing x" is expressed by passing those facts (looked up in the
-    per-value reverse index) to the kernel as a forbidden set.  The nulls of
-    a block occur in no other block, so the lookup returns block facts only.
-    """
-    for null in _block_nulls(block):
-        forbidden = frozenset(target.facts_containing(null))
-        mapping = block_homomorphism(block, target, None, forbidden)
-        if mapping is not None:
-            return mapping
-    return None
-
-
-def _process_blocks(builder: InstanceBuilder, pending: deque[list[Atom]]) -> None:
-    """Drain the block worklist, applying eliminations to *builder* in place.
-
-    Every image fact of an eliminating homomorphism already exists in the
-    target, so applying it means discarding the block facts that left the
-    image; the surviving facts may disconnect and are re-enqueued as fresh
-    components.  Blocks with no eliminable null are rigid and leave the
-    queue permanently (rigidity is monotone as the target shrinks).
-    """
-    while pending:
-        block = pending.popleft()
-        mapping = _eliminating_hom(block, builder)
-        if mapping is None:
-            perf.incr("core.rigid_blocks")
-            continue
-        perf.incr("core.eliminations")
-        images = {fact.rename_values(mapping) for fact in block}
-        survivors: list[Atom] = []
-        for fact in block:
-            if fact in images:
-                survivors.append(fact)
-            else:
-                builder.discard(fact)
-        if survivors:
-            pending.extend(_null_components(survivors))
-
-
-def _fold_facts(facts: Iterable[Atom]) -> tuple[Atom, ...]:
-    """Fold a block against itself until no null is locally eliminable.
-
-    A pure, deterministic function of the fact set (it is the fold-cache
-    value computation); returns repr-sorted facts.
-    """
-    builder = InstanceBuilder(facts)
-    pending: deque[list[Atom]] = deque(_null_components(list(builder)))
-    _process_blocks(builder, pending)
-    return tuple(sorted(builder, key=repr))
-
-
-def _canonical_block(facts: Sequence[Atom]) -> tuple[tuple[Atom, ...], dict] | None:
-    """Canonically label the nulls of a block, or None if too symmetric.
-
-    Nulls are grouped by degree profile (multiset of (relation, position)
-    occurrences -- an isomorphism invariant) and renamed to ``Null(("#",
-    i))``; ties within a profile group are broken by trying every
-    within-group permutation and keeping the lexicographically least fact
-    tuple, so isomorphic blocks get identical canonical forms.  Returns the
-    canonical fact tuple and the null -> canonical-null labeling, or None
-    when the tie groups would need more than ``_CANON_PERMUTATION_LIMIT``
-    permutations.
-    """
-    profiles: dict = {}
-    for fact in facts:
-        for pos, arg in enumerate(fact.args):
-            if is_null(arg):
-                profile = profiles.setdefault(arg, {})
-                key = (fact.relation, pos)
-                profile[key] = profile.get(key, 0) + 1
-    groups: dict = {}
-    for null, profile in profiles.items():
-        groups.setdefault(tuple(sorted(profile.items())), []).append(null)
-    total = 1
-    for members in groups.values():
-        for i in range(2, len(members) + 1):
-            total *= i
-            if total > _CANON_PERMUTATION_LIMIT:
-                return None
-    ordered_groups = [sorted(members, key=repr) for __, members in sorted(groups.items())]
-    best: tuple[Atom, ...] | None = None
-    best_key: list[str] = []
-    best_labeling: dict = {}
-    for orderings in itertools.product(
-        *(itertools.permutations(members) for members in ordered_groups)
-    ):
-        labeling: dict = {}
-        for members in orderings:
-            for null in members:
-                labeling[null] = Null(("#", len(labeling)))
-        relabeled = tuple(sorted((f.rename_values(labeling) for f in facts), key=repr))
-        relabeled_key = [repr(f) for f in relabeled]
-        if best is None or relabeled_key < best_key:
-            best = relabeled
-            best_key = relabeled_key
-            best_labeling = labeling
-    assert best is not None
-    return best, best_labeling
-
-
-def _disk_fold_get(key: tuple[Atom, ...]) -> tuple[Atom, ...] | None:
-    """Look a canonical-block fold up in the persistent tier."""
-    if get_store() is None:
-        return None
-    payload = disk_get(SPACE_FOLD, fingerprint_fact_sequence(key))
-    if not isinstance(payload, tuple) or not all(
-        isinstance(fact, Atom) for fact in payload
-    ):
-        return None
-    return payload
-
-
-def _disk_fold_put(key: tuple[Atom, ...], folded: tuple[Atom, ...]) -> None:
-    """Write one computed fold through to the persistent tier."""
-    if get_store() is None:
-        return
-    disk_put(SPACE_FOLD, fingerprint_fact_sequence(key), folded)
-
-
-def _fold_block(
-    block: Sequence[Atom], canon: tuple[tuple[Atom, ...], dict] | None
-) -> tuple[Atom, ...]:
-    """Fold one block locally, through the canonical-form cache when possible."""
-    if canon is None:
-        return _fold_facts(block)
-    key, labeling = canon
-    cached = _FOLD_CACHE.get(key)
-    if cached is not None:
-        _FOLD_CACHE.move_to_end(key)
-        perf.incr("core.memo_hits")
-    else:
-        perf.incr("core.memo_misses")
-        cached = _disk_fold_get(key)
-        if cached is None:
-            cached = _fold_facts(key)
-            _disk_fold_put(key, cached)
-        _store_fold(key, cached)
-    inverse = {label: null for null, label in labeling.items()}
-    return tuple(fact.rename_values(inverse) for fact in cached)
-
-
 class _ColumnarCore:
     """One id-space core computation: per-call caches over a shared ValueTable.
 
     Every method works on ``(_RelGroup, row)`` pairs; interned value objects
     are touched only through the three memoized per-id accessors (null
-    classification, repr, fingerprint encoding) and when a cold disk fold is
-    decoded -- no :class:`Atom` is materialized on the worklist path.  The
-    fold helper builds private mini stores over the *same* value table, so
-    one instance of this class serves the outer store and every fold store.
+    classification, repr, fingerprint encoding) -- no :class:`Atom` is
+    materialized on the worklist path.  The fold helper builds private mini
+    stores over the *same* value table, so one instance of this class serves
+    the outer store and every fold store.
     """
 
     __slots__ = ("values", "_null_flags", "_reprs", "_encodings")
@@ -369,7 +223,12 @@ class _ColumnarCore:
     # ------------------------------------------------------------- structure
 
     def null_components(self, rows: Sequence[_Row]) -> list[list[_Row]]:
-        """Split rows into connected components linked by shared null ids."""
+        """Split rows into connected components linked by shared null ids.
+
+        Only components that contain a null are returned, ordered by their
+        least null id: components partition the nulls, so this order is
+        fixed by the value ids alone, whatever the order of *rows*.
+        """
         is_null_vid = self.is_null_vid
         anchor_of: dict[int, int] = {}
         parent = list(range(len(rows)))
@@ -390,28 +249,26 @@ class _ColumnarCore:
                     root_a, root_b = find(anchor), find(index)
                     if root_a != root_b:
                         parent[root_b] = root_a
-        components: dict[int, list[_Row]] = {}
+        least: dict[int, int] = {}
+        for vid, index in anchor_of.items():
+            root = find(index)
+            if vid < least.get(root, vid + 1):
+                least[root] = vid
+        components: dict[int, list[_Row]] = {root: [] for root in least}
         for index, entry in enumerate(rows):
-            components.setdefault(find(index), []).append(entry)
-        return list(components.values())
+            component = components.get(find(index))
+            if component is not None:
+                component.append(entry)
+        return [components[root] for root in sorted(least, key=least.__getitem__)]
 
     def null_blocks(self, store: ColumnarInstance) -> list[list[_Row]]:
         """The f-blocks of *store* that contain a null (ground rows stay put)."""
-        is_null_vid = self.is_null_vid
-        rows: list[_Row] = [
+        return self.null_components([
             (group, row)
             for groups in store._groups.values()
             for group in groups
             for row in group.live_rows()
-        ]
-        blocks: list[list[_Row]] = []
-        for component in self.null_components(rows):
-            group, row = component[0]
-            if len(component) > 1 or any(
-                is_null_vid(column[row]) for column in group.columns
-            ):
-                blocks.append(component)
-        return blocks
+        ])
 
     # -------------------------------------------------------- canonical form
 
@@ -420,12 +277,15 @@ class _ColumnarCore:
     ) -> tuple[list[_Row], dict[int, int]] | None:
         """Canonically label the null ids of a block, or None if too symmetric.
 
-        Mirrors :func:`_canonical_block` id-for-object: nulls group by degree
-        profile, ties try every within-group permutation, and the winning
-        ordering is the lexicographically least repr-string tuple (rendering
-        ``Null(("#", i))`` reprs from the canonical index directly).  Returns
-        the block rows in canonical order plus the null id -> canonical
-        index labeling.
+        Nulls are grouped by degree profile (multiset of (relation, position)
+        occurrences -- an isomorphism invariant); ties within a profile group
+        are broken by trying every within-group permutation and keeping the
+        lexicographically least repr-string tuple (rendering ``Null(("#",
+        i))`` reprs from the canonical index directly), so isomorphic blocks
+        get identical canonical forms.  Returns the block rows in canonical
+        order plus the null id -> canonical index labeling, or None when the
+        tie groups would need more than ``_CANON_PERMUTATION_LIMIT``
+        permutations.
         """
         is_null_vid = self.is_null_vid
         profiles: dict[int, dict[tuple[str, int], int]] = {}
@@ -485,7 +345,7 @@ class _ColumnarCore:
         """Content fingerprint of the canonical block, from id tuples.
 
         Byte-equal to ``fingerprint_fact_sequence`` of the decoded canonical
-        atoms, so the persistent fold tier is shared with the tuple engine.
+        atoms (canonical nulls rendered as ``Null(("#", i))``).
         """
         vid_encoding = self.vid_encoding
         encodings: list[bytes] = []
@@ -500,23 +360,6 @@ class _ColumnarCore:
                 )
             encodings.append(encode_atom_parts(group.relation, arg_encodings))
         return fingerprint_encoded_sequence(encodings)
-
-    def canonical_atoms(
-        self, canon_rows: Sequence[_Row], labeling: dict[int, int]
-    ) -> tuple[Atom, ...]:
-        """Decode the canonical block (cold path: disk-tier payloads only)."""
-        value = self.values.value
-        out: list[Atom] = []
-        for group, row in canon_rows:
-            args: list[object] = []
-            for column in group.columns:
-                vid = column[row]
-                canonical = labeling.get(vid)
-                args.append(
-                    Null(("#", canonical)) if canonical is not None else value(vid)
-                )
-            out.append(Atom(group.relation, tuple(args)))
-        return tuple(out)
 
     # ------------------------------------------------------------ elimination
 
@@ -536,8 +379,7 @@ class _ColumnarCore:
         ]
 
     def block_null_vids(self, block: Sequence[_Row]) -> list[int]:
-        """The null ids of a block, repr-sorted (same order the tuple engine
-        tries its elimination candidates in)."""
+        """The null ids of a block, repr-sorted (the elimination try order)."""
         is_null_vid = self.is_null_vid
         vids = {
             vid
@@ -569,7 +411,12 @@ class _ColumnarCore:
     def eliminating_hom(
         self, store: ColumnarInstance, block: Sequence[_Row]
     ) -> dict[object, int] | None:
-        """Id-space twin of :func:`_eliminating_hom`: retraction dropping a null."""
+        """Find a retraction of *block* into *store* eliminating one of its nulls.
+
+        Tries each null id of the block in repr order; "store minus the rows
+        containing x" is the kernel's forbidden row set.  The nulls of a
+        block occur in no other block, so those rows are block rows only.
+        """
         encoded = self.encode_block(block)
         for vid in self.block_null_vids(block):
             mapping = solve_encoded(encoded, self.rows_containing(store, vid))
@@ -580,14 +427,22 @@ class _ColumnarCore:
     def process_blocks(
         self, store: ColumnarInstance, pending: "deque[list[_Row]]"
     ) -> None:
-        """Id-space twin of :func:`_process_blocks`: eliminations tombstone rows."""
+        """Drain the block worklist, tombstoning eliminated rows in *store*.
+
+        Every image fact of an eliminating homomorphism already exists in
+        the store, so applying it means discarding the block rows that left
+        the image; the surviving rows may disconnect and are re-enqueued as
+        fresh components.  Blocks with no eliminable null are rigid and
+        leave the queue permanently (rigidity is monotone as the store
+        shrinks).
+        """
         while pending:
             block = pending.popleft()
             mapping = self.eliminating_hom(store, block)
             if mapping is None:
-                perf.incr("core.columnar.rigid_blocks")
+                perf.incr("core.rigid_blocks")
                 continue
-            perf.incr("core.columnar.eliminations")
+            perf.incr("core.eliminations")
             images: set[tuple[_RelGroup, tuple[int, ...]]] = set()
             for group, row in block:
                 image = tuple(
@@ -645,46 +500,6 @@ class _ColumnarCore:
             if mini_row not in mini_group.dead
         )
 
-    def _disk_fold_indexes(
-        self, fingerprint: str, canon_rows: Sequence[_Row], labeling: dict[int, int]
-    ) -> tuple[int, ...] | None:
-        """Map a tuple-engine disk payload back to canonical indexes, or None.
-
-        Payloads are canonical atom tuples (the cross-engine format); they
-        map back through a repr -> index table over the canonical order.  An
-        ambiguous repr (adversarial names) or an unmatched payload fact means
-        the entry is unusable here -- fold locally instead.
-        """
-        if get_store() is None:
-            return None
-        payload = disk_get(SPACE_FOLD, fingerprint)
-        if not isinstance(payload, tuple) or not all(
-            isinstance(fact, Atom) for fact in payload
-        ):
-            return None
-        vid_repr = self.vid_repr
-        index_of: dict[str, int] = {}
-        for index, (group, row) in enumerate(canon_rows):
-            parts = []
-            for column in group.columns:
-                vid = column[row]
-                canonical = labeling.get(vid)
-                parts.append(
-                    f"_{('#', canonical)}" if canonical is not None
-                    else vid_repr(vid)
-                )
-            text = f"{group.relation}({', '.join(parts)})"
-            if text in index_of:
-                return None
-            index_of[text] = index
-        indexes: list[int] = []
-        for fact in payload:
-            index = index_of.get(repr(fact))
-            if index is None:
-                return None
-            indexes.append(index)
-        return tuple(sorted(indexes))
-
     def fold_block(
         self,
         store: ColumnarInstance,
@@ -701,23 +516,17 @@ class _ColumnarCore:
         if canon is None or fingerprint is None:
             return block
         canon_rows, labeling = canon
-        surviving = _COLUMNAR_FOLD_CACHE.get(fingerprint)
+        surviving = _FOLD_CACHE.get(fingerprint)
         if surviving is not None:
-            _COLUMNAR_FOLD_CACHE.move_to_end(fingerprint)
-            perf.incr("core.columnar.memo_hits")
+            _FOLD_CACHE.move_to_end(fingerprint)
+            perf.incr("core.memo_hits")
         else:
-            perf.incr("core.columnar.memo_misses")
-            surviving = self._disk_fold_indexes(fingerprint, canon_rows, labeling)
+            perf.incr("core.memo_misses")
+            surviving = _disk_fold_get(fingerprint, len(canon_rows))
             if surviving is None:
                 surviving = self.fold_canonical(canon_rows, labeling)
-                if get_store() is not None:
-                    atoms = self.canonical_atoms(canon_rows, labeling)
-                    disk_put(
-                        SPACE_FOLD,
-                        fingerprint,
-                        tuple(atoms[index] for index in surviving),
-                    )
-            _store_columnar_fold(fingerprint, surviving)
+                disk_put(SPACE_FOLD, fingerprint, surviving)
+            _store_fold(fingerprint, surviving)
         keep = {canon_rows[index] for index in surviving}
         survivors: list[_Row] = []
         for group, row in block:
@@ -728,24 +537,63 @@ class _ColumnarCore:
         return survivors
 
 
-def _core_columnar(instance: "Instance | ColumnarInstance") -> Instance:
-    """Compute the core in id-space over a columnar store.
+def _encode(instance: Instance) -> ColumnarInstance:
+    """Encode *instance* with value ids fixed by its fact set alone.
 
-    Accepts either representation; an :class:`Instance` is encoded once, a
-    :class:`ColumnarInstance` is *consumed* (eliminations tombstone its rows
-    in place).  Same structure as the tuple path in :func:`core`: split into
-    f-blocks, drop isomorphic duplicates, fold each block locally through
-    the memo, then drain the global worklist.
+    Values are interned in repr order before any fact is added.  Block order
+    follows the least null id (:meth:`_ColumnarCore.null_components`) and
+    the kernel breaks ties by id, so nothing downstream depends on
+    ``PYTHONHASHSEED`` or on the order the instance yields its facts.
     """
-    store = (
-        instance
-        if isinstance(instance, ColumnarInstance)
-        else ColumnarInstance(instance)
-    )
+    values = ValueTable()
+    for value in sorted(
+        instance.active_domain(), key=lambda value: (repr(value), type(value).__name__)
+    ):
+        values.intern(value)
+    return ColumnarInstance(instance, values=values)
+
+
+def core(
+    instance: "Instance | ColumnarInstance", *, backend: str = "columnar"
+) -> Instance:
+    """Return the core of *instance*.
+
+        >>> from repro.logic.parser import parse_instance
+        >>> core(parse_instance("R(a, _x), R(a, b)"))
+        Instance{R(a, b)}
+
+    The result contains the same constants as the input and a subset of its
+    facts; it is homomorphically equivalent to the input and no proper
+    subinstance of it is.  For a given input it does not depend on
+    ``PYTHONHASHSEED``.
+
+    ``backend`` selects the execution engine: ``"columnar"`` (the id-space
+    worklist of this module; ``"tuple"`` is accepted as an alias),
+    ``"sql"`` (per-block eliminating homomorphisms as SELECT joins), or
+    ``"auto"`` (:func:`~repro.engine.dispatch.choose_core_backend` by
+    instance size).  All backends return the same core up to isomorphism.
+    A :class:`~repro.engine.columnar.ColumnarInstance` input is consumed:
+    eliminations tombstone its rows in place.
+    """
+    size = len(instance)
+    sql_supported = False
+    if backend == "sql" or (backend == "auto" and size >= CORE_SQL_AUTO_THRESHOLD):
+        from repro.engine.sql_backend import sql_core_supported
+
+        sql_supported = sql_core_supported(instance)
+    choice = choose_core_backend(backend, input_size=size, sql_supported=sql_supported)
+    if choice.backend == "sql":
+        from repro.engine.sql_backend import sql_core
+
+        return sql_core(instance)
+
+    store = instance if isinstance(instance, ColumnarInstance) else _encode(instance)
     engine = _ColumnarCore(store.values)
     blocks = engine.null_blocks(store)
-    perf.incr("core.columnar.blocks", len(blocks))
+    perf.incr("core.blocks", len(blocks))
 
+    # Drop isomorphic duplicates (equal canonical form => the isomorphism is
+    # a wholesale eliminating retraction into the kept representative).
     kept: list[tuple[list[_Row], tuple[list[_Row], dict[int, int]] | None, str | None]] = []
     seen: set[str] = set()
     for block in blocks:
@@ -754,7 +602,7 @@ def _core_columnar(instance: "Instance | ColumnarInstance") -> Instance:
         if canon is not None:
             fingerprint = engine.block_fingerprint(canon[0], canon[1])
             if fingerprint in seen:
-                perf.incr("core.columnar.iso_folds")
+                perf.incr("core.iso_folds")
                 for group, row in block:
                     store.discard_row(group, row)
                 continue
@@ -770,87 +618,14 @@ def _core_columnar(instance: "Instance | ColumnarInstance") -> Instance:
     return store.to_instance()
 
 
-def core(instance: Instance, *, backend: str = "tuple") -> Instance:
-    """Return the core of *instance*.
-
-        >>> from repro.logic.parser import parse_instance
-        >>> core(parse_instance("R(a, _x), R(a, b)"))
-        Instance{R(a, b)}
-
-    The result contains the same constants as the input and a subset of its
-    facts; it is homomorphically equivalent to the input and no proper
-    subinstance of it is.
-
-    ``backend`` selects the execution engine: ``"tuple"`` (this module's
-    object worklist -- the reference), ``"columnar"`` (id-space over a
-    :class:`~repro.engine.columnar.ColumnarInstance`), ``"sql"`` (per-block
-    eliminating homomorphisms as SELECT joins), or ``"auto"``
-    (:func:`~repro.engine.dispatch.choose_core_backend` by instance size).
-    All backends return the same core up to isomorphism.
-    """
-    if backend != "tuple":
-        from repro.engine.dispatch import CORE_SQL_AUTO_THRESHOLD, choose_core_backend
-
-        size = len(instance)
-        sql_supported = False
-        if backend == "sql" or (backend == "auto" and size >= CORE_SQL_AUTO_THRESHOLD):
-            from repro.engine.sql_backend import sql_core_supported
-
-            sql_supported = sql_core_supported(instance)
-        choice = choose_core_backend(
-            backend, input_size=size, sql_supported=sql_supported
-        )
-        if choice.backend == "sql":
-            from repro.engine.sql_backend import sql_core
-
-            return sql_core(instance)
-        if choice.backend == "columnar":
-            return _core_columnar(instance)
-    builder = InstanceBuilder()
-    null_blocks: list[list[Atom]] = []
-    for block in fact_blocks(instance):
-        block_facts = sorted(block, key=repr)
-        if _has_nulls(block_facts):
-            null_blocks.append(block_facts)
-        else:
-            builder.add_all(block_facts)
-    perf.incr("core.blocks", len(null_blocks))
-    null_blocks.sort(key=lambda facts: [repr(f) for f in facts])
-
-    # Drop isomorphic duplicates (equal canonical form => the isomorphism is
-    # a wholesale eliminating retraction into the kept representative).
-    kept: list[tuple[list[Atom], tuple[tuple[Atom, ...], dict] | None]] = []
-    seen_keys: set[tuple[Atom, ...]] = set()
-    for block_facts in null_blocks:
-        canon = _canonical_block(block_facts)
-        if canon is not None:
-            if canon[0] in seen_keys:
-                perf.incr("core.iso_folds")
-                continue
-            seen_keys.add(canon[0])
-        kept.append((block_facts, canon))
-
-    pending: deque[list[Atom]] = deque()
-    for block_facts, canon in kept:
-        folded = _fold_block(block_facts, canon)
-        builder.add_all(folded)
-        pending.extend(_null_components(list(folded)))
-    _process_blocks(builder, pending)
-    return builder.freeze()
-
-
 def is_core(instance: Instance) -> bool:
     """Return True if *instance* equals its own core (no null is eliminable)."""
-    for block in fact_blocks(instance):
-        block_facts = sorted(block, key=repr)
-        if not _has_nulls(block_facts):
-            continue
-        if _eliminating_hom(block_facts, instance) is not None:
-            return False
-    return True
+    store = ColumnarInstance(instance)
+    engine = _ColumnarCore(store.values)
+    return all(
+        engine.eliminating_hom(store, block) is None
+        for block in engine.null_blocks(store)
+    )
 
 
-__all__ = ["core", "is_core", "clear_fold_cache", "core_columnar"]
-
-#: Public alias: the id-space engine, callable directly (benchmarks, tests).
-core_columnar = _core_columnar
+__all__ = ["core", "is_core", "clear_fold_cache"]

@@ -1,4 +1,4 @@
-"""Backend selection for the chase engines: tuple, columnar, or SQL pushdown.
+"""Backend selection for the chase and core engines.
 
 Three interchangeable execution backends run the oblivious chase:
 
@@ -24,6 +24,13 @@ certifies *whether* a polynomial bound exists (``estimate.degree``); the
 instance size then decides whether the per-fact savings amortize each
 backend's setup cost.  The crossover points below were measured by
 ``benchmarks/bench_backend_chase.py`` on the scaling workloads.
+
+Core computation shares the backend names but not the engines:
+:func:`choose_core_backend` resolves ``"tuple"``, ``"columnar"`` and
+``"auto"`` below :data:`CORE_SQL_AUTO_THRESHOLD` to the single in-memory
+engine (``"columnar"``, the id-space worklist of
+:mod:`repro.engine.core_instance`), and larger SQL-loadable ``"auto"``
+requests to the SQL pushdown.
 """
 
 from __future__ import annotations
@@ -57,11 +64,6 @@ SQL_AUTO_THRESHOLD_PTIME = 1_000
 #: (uncertified) programs, so a runaway bounded chase fails fast with
 #: ``BudgetExceeded`` instead of grinding through a blowup.
 NON_ELEMENTARY_AUTO_BUDGET = 1_000_000
-
-#: Minimum input facts before core's "auto" prefers the columnar engine.
-#: Lower than the chase crossover: the core worklist re-probes the same
-#: blocks many times, so the one-shot encode pass amortizes sooner.
-CORE_COLUMNAR_AUTO_THRESHOLD = 300
 
 #: Minimum input facts before core's "auto" pushes per-block eliminating
 #: homomorphisms down to SQL (per-block SELECT joins; session setup and
@@ -188,9 +190,10 @@ def choose_core_backend(
 ) -> BackendChoice:
     """Resolve a core-computation ``backend=`` argument to a concrete backend.
 
-    Core computation has its own crossover points: the block worklist
-    re-probes the shrinking instance many times per null, so the columnar
-    encode pass amortizes earlier than in a chase, while the SQL pushdown
+    Core computation has one in-memory engine, the id-space worklist of
+    :mod:`repro.engine.core_instance`: ``"columnar"``, ``"tuple"`` (kept as
+    an alias, since chase and core share :data:`BACKENDS`) and ``"auto"``
+    below the SQL crossover all resolve to ``"columnar"``.  The SQL pushdown
     (one SELECT join per candidate elimination) only wins once blocks are
     large enough to drown the per-query compile/decode cost.
 
@@ -198,7 +201,7 @@ def choose_core_backend(
     core session (:func:`repro.engine.sql_backend.sql_core_supported`);
     callers probe it lazily, only when SQL is actually in play.  An explicit
     ``"sql"`` request on an unsupported instance raises, while ``"auto"``
-    falls back to the columnar engine.
+    falls back to the in-memory engine.
     """
     validate_backend(requested)
     if requested == "sql":
@@ -209,26 +212,25 @@ def choose_core_backend(
                 "relation); use the columnar backend"
             )
         return BackendChoice("sql", requested, "requested explicitly")
-    if requested != "auto":
-        return BackendChoice(requested, requested, "requested explicitly")
-    if sql_supported and input_size >= CORE_SQL_AUTO_THRESHOLD:
+    if requested == "columnar":
+        return BackendChoice("columnar", requested, "requested explicitly")
+    if requested == "tuple":
+        return BackendChoice("columnar", requested, "the one in-memory core engine")
+    if input_size < CORE_SQL_AUTO_THRESHOLD:
+        reason = f"{input_size} facts < {CORE_SQL_AUTO_THRESHOLD}"
+    elif sql_supported:
         return BackendChoice(
             "sql", requested, f"{input_size} facts >= {CORE_SQL_AUTO_THRESHOLD}"
         )
-    if input_size >= CORE_COLUMNAR_AUTO_THRESHOLD:
-        return BackendChoice(
-            "columnar",
-            requested,
-            f"{input_size} facts >= {CORE_COLUMNAR_AUTO_THRESHOLD}",
-        )
-    return BackendChoice("tuple", requested, f"small input ({input_size} facts)")
+    else:
+        reason = f"{input_size} facts, not SQL-loadable"
+    return BackendChoice("columnar", requested, reason)
 
 
 __all__ = [
     "BACKENDS",
     "BackendChoice",
     "COLUMNAR_AUTO_THRESHOLD",
-    "CORE_COLUMNAR_AUTO_THRESHOLD",
     "CORE_SQL_AUTO_THRESHOLD",
     "NON_ELEMENTARY_AUTO_BUDGET",
     "SQL_AUTO_THRESHOLD",

@@ -10,7 +10,8 @@ and :class:`~repro.engine.builder.InstanceBuilder` maintain:
 
 1. **Index-seeded candidates** -- the candidate target facts of a source fact
    are looked up from the most selective bound position (a constant or a
-   pre-bound null), never found by scanning a relation.
+   pre-bound null), never found by scanning a relation, and kept only if
+   they have the source fact's arity (a relation may be used at several).
 2. **Per-null domains with AC-3 pruning** -- each null starts from the
    intersection of the values its occurrences can take, and generalized
    arc consistency is enforced before any search: a value survives only
@@ -23,11 +24,6 @@ and :class:`~repro.engine.builder.InstanceBuilder` maintain:
    *free* (unfixed) nulls and each component is solved independently; ground
    and fully-fixed facts reduce to membership tests.
 
-Callers pass an optional ``forbidden`` fact set: those target facts are
-treated as absent.  This is how the core engine searches for a retraction
-into "the instance minus the facts containing null x" without materializing
-a new instance per candidate null.
-
 The naive reference implementation (no indexes, no decomposition, no
 propagation) is preserved in :func:`repro.engine.naive.find_homomorphism_naive`
 for differential testing and for the speedup curves of
@@ -38,7 +34,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Collection, Iterable, Mapping
-from collections.abc import Set as AbstractSet
 from typing import Protocol
 
 from repro import perf
@@ -46,9 +41,6 @@ from repro.engine.columnar import ColumnarInstance
 from repro.engine.hom_kernel_columnar import block_homomorphism_columnar
 from repro.logic.atoms import Atom
 from repro.logic.values import is_null
-
-_EMPTY_FORBIDDEN: frozenset[Atom] = frozenset()
-
 
 class FactIndex(Protocol):
     """The read API the kernel needs from a target (Instance or builder)."""
@@ -88,12 +80,13 @@ class _Stats:
 
 
 def _seed_candidates(
-    fact: Atom,
-    target: FactIndex,
-    bound: Mapping[object, object],
-    forbidden: AbstractSet[Atom],
+    fact: Atom, target: FactIndex, bound: Mapping[object, object]
 ) -> list[Atom]:
-    """Candidate target facts for *fact*, seeded by the most selective bound position."""
+    """Candidate target facts for *fact*, seeded by the most selective bound position.
+
+    A relation may hold facts of several arities; only those of *fact*'s
+    arity are candidates.
+    """
     best: Collection[Atom] | None = None
     for pos, arg in enumerate(fact.args):
         value = bound.get(arg) if is_null(arg) else arg
@@ -106,16 +99,15 @@ def _seed_candidates(
                 return []
     if best is None:
         best = target.facts_of(fact.relation)
-    if forbidden:
-        return [t for t in best if t not in forbidden]
-    return list(best)
+    arity = len(fact.args)
+    return [t for t in best if len(t.args) == arity]
 
 
 def _consistent(
     fact: Atom,
     candidate: Atom,
     bound: Mapping[object, object],
-    domains: Mapping[object, AbstractSet[object]],
+    domains: Mapping[object, set[object]],
 ) -> bool:
     """Is *candidate* compatible with *fact* under current bounds and domains?"""
     if fact.relation != candidate.relation or fact.arity != candidate.arity:
@@ -243,14 +235,13 @@ def _solve_component(
     component: _Component,
     target: FactIndex,
     fixed: Mapping[object, object],
-    forbidden: AbstractSet[Atom],
     stats: _Stats,
 ) -> dict[object, object] | None:
     """Solve one component: domains, AC-3, then most-constrained search."""
     domains: dict[object, set[object]] = {}
     candidates: list[list[Atom]] = []
     for index, fact in enumerate(component.facts):
-        cands = _seed_candidates(fact, target, fixed, forbidden)
+        cands = _seed_candidates(fact, target, fixed)
         candidates.append(cands)
         if not cands:
             stats.wipeouts += 1
@@ -319,13 +310,11 @@ def block_homomorphism(
     facts: Iterable[Atom],
     target: FactIndex,
     fixed: Mapping[object, object] | None = None,
-    forbidden: AbstractSet[Atom] = _EMPTY_FORBIDDEN,
 ) -> dict[object, object] | None:
     """Map the free nulls of *facts* so every fact lands in *target*, or None.
 
-    *fixed* pre-binds some nulls (the bindings are honored but not returned);
-    facts in *forbidden* count as absent from the target.  The returned dict
-    binds exactly the free nulls of *facts*.
+    *fixed* pre-binds some nulls (the bindings are honored but not returned).
+    The returned dict binds exactly the free nulls of *facts*.
 
     Dispatches by target type: a :class:`~repro.engine.columnar.
     ColumnarInstance` target runs on the integer-domain kernel of
@@ -334,15 +323,14 @@ def block_homomorphism(
     ``FactIndex`` protocol.
     """
     if isinstance(target, ColumnarInstance):
-        return block_homomorphism_columnar(facts, target, fixed, forbidden)
-    return block_homomorphism_generic(facts, target, fixed, forbidden)
+        return block_homomorphism_columnar(facts, target, fixed)
+    return block_homomorphism_generic(facts, target, fixed)
 
 
 def block_homomorphism_generic(
     facts: Iterable[Atom],
     target: FactIndex,
     fixed: Mapping[object, object] | None = None,
-    forbidden: AbstractSet[Atom] = _EMPTY_FORBIDDEN,
 ) -> dict[object, object] | None:
     """The generic (decode-through) kernel over any ``FactIndex`` target.
 
@@ -357,11 +345,11 @@ def block_homomorphism_generic(
         fixed_map = dict(fixed) if fixed else None
         for fact in grounded:
             image = fact.rename_values(fixed_map) if fixed_map else fact
-            if image not in target or image in forbidden:
+            if image not in target:
                 return None
         for component_facts in components:
             component = _Component(component_facts, fixed)
-            solution = _solve_component(component, target, fixed, forbidden, stats)
+            solution = _solve_component(component, target, fixed, stats)
             if solution is None:
                 return None
             result.update(solution)

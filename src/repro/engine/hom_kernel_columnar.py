@@ -18,10 +18,10 @@ Two entry layers:
   ``ColumnarInstance`` (``hom_kernel`` dispatches here by instance type, so
   ``find_homomorphism`` / ``model_check`` callers never change).  Source
   facts arrive as atoms; *fixed* bindings are folded into constant ids at
-  encode time, *forbidden* atoms are resolved to per-group row-id sets.
+  encode time.
 - :func:`solve_encoded` -- the id-space core: a block of
   :class:`EncodedFact` rows (built by this module or directly from group
-  columns by the columnar core engine) is split into components and solved.
+  columns by the core engine) is split into components and solved.
   Variable keys are opaque hashables (interned nulls from the atom path,
   integer value ids from the core engine); domain elements are always
   integer value ids.
@@ -30,8 +30,10 @@ The semantics match the tuple kernel exactly -- same candidate seeding from
 the most selective bound position, same generalized arc consistency, same
 most-constrained-first search with full look-ahead -- so verdicts agree on
 every input; only the found witness may differ (both are valid
-homomorphisms).  ``forbidden`` rows are how the core engine expresses
-"the instance minus the facts containing null x" without copying anything.
+homomorphisms).  :func:`solve_encoded` also takes per-group ``forbidden``
+row sets: those rows count as absent.  This is how the core engine
+(:mod:`repro.engine.core_instance`) expresses "the instance minus the facts
+containing null x" without copying anything.
 
 Perf counters: ``hom.columnar.kernel_calls``, ``hom.columnar.ac3_revisions``,
 ``hom.columnar.ac3_wipeouts``, ``hom.columnar.search_nodes``,
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Mapping
-from collections.abc import Set as AbstractSet
 
 from repro import perf
 from repro.engine.columnar import ColumnarInstance, _RelGroup
@@ -51,7 +52,6 @@ from repro.logic.values import is_null
 
 _CONST = 0
 _VAR = 1
-_EMPTY_FORBIDDEN: frozenset[Atom] = frozenset()
 
 
 class _Stats:
@@ -134,37 +134,6 @@ def encode_facts(
             args.append((_CONST, vid))
         encoded.append(EncodedFact(group, tuple(args)))
     return encoded
-
-
-def forbidden_rows_of(
-    target: ColumnarInstance, forbidden: AbstractSet[Atom]
-) -> dict[_RelGroup, set[int]] | None:
-    """Resolve an atom-level forbidden set to per-group row-id sets."""
-    if not forbidden:
-        return None
-    lookup = target.values.lookup
-    rows: dict[_RelGroup, set[int]] = {}
-    for fact in forbidden:
-        groups = target._groups.get(fact.relation)
-        if not groups:
-            continue
-        ids: list[int] = []
-        ok = True
-        for arg in fact.args:
-            vid = lookup(arg)
-            if vid is None:
-                ok = False
-                break
-            ids.append(vid)
-        if not ok:
-            continue
-        key = tuple(ids)
-        for group in groups:
-            if group.arity == len(key):
-                row = group.row_of.get(key)
-                if row is not None:
-                    rows.setdefault(group, set()).add(row)
-    return rows or None
 
 
 def _split_components(
@@ -374,7 +343,7 @@ def solve_encoded(
     """Map every variable key of *encoded* to a value id, or None.
 
     Grounded facts reduce to (live) row lookups; components solve
-    independently.  This is the entry the columnar core engine calls with
+    independently.  This is the entry the core engine calls with
     facts built directly from group columns (variable keys are the null
     value ids themselves).
     """
@@ -405,14 +374,13 @@ def block_homomorphism_columnar(
     facts: Iterable[Atom],
     target: ColumnarInstance,
     fixed: Mapping[object, object] | None = None,
-    forbidden: AbstractSet[Atom] = _EMPTY_FORBIDDEN,
 ) -> dict[object, object] | None:
     """Map the free nulls of *facts* so every fact lands in *target*, or None.
 
     Same contract as :func:`repro.engine.hom_kernel.block_homomorphism`
     (which dispatches here when the target is columnar): *fixed* pre-binds
-    some nulls without returning them, *forbidden* facts count as absent,
-    and the returned dict binds exactly the free nulls of *facts*.
+    some nulls without returning them, and the returned dict binds exactly
+    the free nulls of *facts*.
     """
     fixed = fixed or {}
     encoded = encode_facts(facts, target, fixed)
@@ -420,7 +388,7 @@ def block_homomorphism_columnar(
         # Unmatchable relation or value; still one kernel call for accounting.
         perf.incr("hom.columnar.kernel_calls")
         return None
-    solution = solve_encoded(encoded, forbidden_rows_of(target, forbidden))
+    solution = solve_encoded(encoded)
     if solution is None:
         return None
     value = target.values.value
@@ -431,6 +399,5 @@ __all__ = [
     "EncodedFact",
     "block_homomorphism_columnar",
     "encode_facts",
-    "forbidden_rows_of",
     "solve_encoded",
 ]

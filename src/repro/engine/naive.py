@@ -122,24 +122,24 @@ def core_naive(instance: Instance) -> Instance:
     :func:`repro.engine.core_instance.core` -- null ``x`` is eliminable when
     its f-block maps into the instance minus the facts containing ``x`` --
     but implemented the way the seed did: a *restricted immutable instance*
-    is rebuilt per candidate null (full re-indexing), the legacy ordered
-    backtracker searches it, and each elimination restarts the whole scan.
+    is rebuilt per candidate null (full re-indexing),
+    :func:`find_homomorphism_naive` searches it, and each elimination
+    restarts the whole scan.
     Kept as the oracle for differential tests (cores agree up to isomorphism)
     and as the baseline of ``benchmarks/bench_scaling_hom.py``.
     """
     from repro.engine.gaifman import fact_blocks
-    from repro.engine.homomorphism import _block_homomorphism
 
     def try_eliminate(current: Instance) -> Instance | None:
         for block in fact_blocks(current):
-            block_facts = list(block)
             block_nulls = sorted(
-                {arg for fact in block_facts for arg in fact.args if is_null(arg)},
+                {arg for fact in block for arg in fact.args if is_null(arg)},
                 key=repr,
             )
+            source = Instance(block)
             for null in block_nulls:
                 target = current.restrict(lambda fact: null not in fact.args)
-                mapping = _block_homomorphism(block_facts, target, {})
+                mapping = find_homomorphism_naive(source, target)
                 if mapping is not None:
                     return current.map_values(mapping)
         return None

@@ -627,7 +627,7 @@ class _BlockQuery:
     arguments pin columns with ``= ?`` parameters.  Eliminating null ``x``
     means the image avoids every fact containing ``x``, which compiles to
     ``a{i}.c{p} <> ?`` (the encoding of ``x``) for *every* alias position --
-    the SQL rendering of the tuple engine's ``forbidden`` fact set.  The
+    the SQL rendering of the in-memory core engine's forbidden row set.  The
     SELECT list is the distinct null columns (repr-sorted, ``ORDER BY`` +
     ``LIMIT 1`` so runs are reproducible), and a returned row decodes
     directly into the ``null -> value`` mapping.
@@ -710,7 +710,7 @@ def sql_core(instance: Instance) -> Instance:
                 raise ChaseError(
                     f"an f-block of {len(block_facts)} facts exceeds SQLite's "
                     f"{MAX_JOIN_TABLES}-table join limit; compute this core "
-                    'with backend="columnar" or "tuple"'
+                    'with backend="columnar"'
                 )
             pending.append(block_facts)
     perf.incr("core.sql.blocks", len(pending))

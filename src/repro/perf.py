@@ -19,8 +19,6 @@ Counter names are dotted strings, grouped by subsystem:
 ``chase.fixpoint_rounds``  rounds run by ``engine.fixpoint_chase``
 ``match.memo_hits``       nested-chase child-match memoization hits
 ``hom.backtracks``        value choices undone during homomorphism search
-                          (kernel) / candidate facts rejected (legacy
-                          backtracker)
 ``hom.kernel_calls``      calls into the indexed homomorphism kernel
 ``hom.ac3_revisions``     per-fact candidate revisions during AC-3
                           propagation
@@ -32,17 +30,14 @@ Counter names are dotted strings, grouped by subsystem:
                           their ``hom.*`` twins (``ac3_revisions``,
                           ``ac3_wipeouts``, ``search_nodes``, ``backtracks``)
                           for the integer-domain kernel
-``core.blocks``           null-containing f-blocks seen by ``core``
+``core.blocks``           null-containing f-blocks seen by ``core``'s
+                          in-memory engine (its eliminating searches count
+                          under ``hom.columnar.*``)
 ``core.iso_folds``        duplicate blocks dropped as isomorphic copies
 ``core.memo_hits``        block folds answered by the canonical-form cache
 ``core.memo_misses``      block folds computed and cached
 ``core.eliminations``     eliminating retractions applied
 ``core.rigid_blocks``     blocks proven rigid (no eliminable null)
-``core.columnar.blocks``  f-blocks seen by the id-space core engine; its
-                          ``iso_folds`` / ``memo_hits`` / ``memo_misses`` /
-                          ``eliminations`` / ``rigid_blocks`` twins mirror
-                          the ``core.*`` meanings for
-                          ``core(backend="columnar")``
 ``core.sql.blocks``       f-blocks seen by the SQL core pushdown
 ``core.sql.queries``      eliminating-homomorphism SELECT joins executed
 ``core.sql.eliminations``  eliminating retractions applied via SQL DELETEs

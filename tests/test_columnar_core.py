@@ -1,17 +1,17 @@
 """Differential suite for the id-space core engine and the SQL core pushdown.
 
-Three interchangeable backends compute cores (``core(backend=...)``): the
-seed tuple engine, the columnar id-space engine, and the SQL pushdown.  The
+Two engines compute cores (``core(backend=...)``): the id-space worklist
+(``"columnar"``, also reached as ``"tuple"``) and the SQL pushdown.  Both are
+checked against the naive oracle :func:`repro.engine.naive.core_naive`.  The
 fold tie-breaks differ between engines (each may keep a different set of
 representative facts), so the correctness bar is: **verdicts agree exactly**
 (homomorphism existence, witness validity) and **cores agree up to
 isomorphism** (the core is unique up to isomorphism; sizes agree exactly).
 
-Also covered here: the shared persistent fold tier (fingerprints are
-byte-identical across engines, so a fold written by one engine is a disk hit
-for the other), the ``facts_of`` / ``facts_with`` decode memo counter, the
-``choose_core_backend`` dispatch policy, the SQL core's join-width limit,
-and the ``repro core`` CLI.
+Also covered here: the persistent fold tier (payloads are surviving
+canonical indexes; anything else is a miss), the ``facts_of`` /
+``facts_with`` decode memo counter, the ``choose_core_backend`` dispatch
+policy, the SQL core's join-width limit, and the ``repro core`` CLI.
 """
 
 from __future__ import annotations
@@ -23,19 +23,17 @@ from hypothesis import HealthCheck, given, settings
 
 import repro.cache
 from repro import perf
+from repro.cache import SPACE_FOLD, disk_put, get_store
 from repro.engine.columnar import ColumnarInstance
 from repro.engine.core_instance import clear_fold_cache, core, is_core
-from repro.engine.dispatch import (
-    CORE_COLUMNAR_AUTO_THRESHOLD,
-    CORE_SQL_AUTO_THRESHOLD,
-    choose_core_backend,
-)
+from repro.engine.dispatch import CORE_SQL_AUTO_THRESHOLD, choose_core_backend
 from repro.engine.hom_kernel import (
     block_homomorphism,
     block_homomorphism_generic,
     find_homomorphism_indexed,
 )
 from repro.engine.homomorphism import is_homomorphism
+from repro.engine.naive import core_naive
 from repro.engine.sql_backend import MAX_JOIN_TABLES, sql_core_supported
 from repro.errors import ChaseError
 from repro.logic.parser import parse_instance
@@ -95,14 +93,14 @@ class TestHomKernelDifferential:
 
 
 class TestCoreDifferential:
-    """Cores agree across backends: equal sizes, isomorphic instances."""
+    """Cores agree with the oracle: equal sizes, isomorphic instances."""
 
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(instance=instances(max_facts=8))
     def test_three_backends_isomorphic(self, instance):
         clear_fold_cache()
-        reference = core(instance, backend="tuple")
+        reference = core_naive(instance)
         for backend in ("columnar", "sql"):
             other = core(instance, backend=backend)
             assert len(other) == len(reference)
@@ -114,7 +112,7 @@ class TestCoreDifferential:
     @given(instance=instances(max_facts=8, max_nulls=6, max_constants=2))
     def test_nulls_heavy_cores_isomorphic(self, instance):
         clear_fold_cache()
-        reference = core(instance, backend="tuple")
+        reference = core_naive(instance)
         for backend in ("columnar", "sql"):
             assert core(instance, backend=backend).isomorphic(reference)
 
@@ -148,8 +146,8 @@ class TestCoreDifferential:
         with perf.measuring() as stats:
             core(parse_instance("R(a,_x), R(a,b), T(c,_y), T(c,d)"),
                  backend="columnar")
-        assert stats.get("core.columnar.blocks") == 2
-        assert stats.get("core.columnar.eliminations") == 2
+        assert stats.get("core.blocks") == 2
+        assert stats.get("core.eliminations") == 2
 
     def test_sql_counters_flow(self):
         with perf.measuring() as stats:
@@ -160,19 +158,45 @@ class TestCoreDifferential:
 
 
 class TestSharedFoldTier:
-    """Fingerprints are byte-identical, so the disk fold tier is shared."""
+    """The in-memory fold memo and the persistent fold tier behind it."""
 
-    @pytest.mark.parametrize("writer,reader",
-                             [("tuple", "columnar"), ("columnar", "tuple")])
-    def test_cross_engine_disk_hits(self, tmp_path, writer, reader):
+    INSTANCE = "R(a,_x), R(a,_y), R(a,b)"
+
+    def _fold_payloads(self):
+        store = get_store()
+        return [key for space, key in store.keys() if space == SPACE_FOLD]
+
+    def test_disk_hit_after_clearing_the_memo(self, tmp_path):
         repro.cache.configure(tmp_path)
-        instance = parse_instance("R(a,_x), R(a,_y), R(a,b)")
-        expected = core(instance, backend=writer)
+        instance = parse_instance(self.INSTANCE)
+        expected = core(instance)
+        assert self._fold_payloads()
         clear_fold_cache()  # drop the in-memory memo; keep the disk tier
         with perf.measuring() as stats:
-            result = core(instance, backend=reader)
+            result = core(instance)
         assert stats.get("cache.disk.hits") >= 1
-        assert result.isomorphic(expected)
+        assert result == expected
+
+    @pytest.mark.parametrize("payload", [
+        "atoms", (0, 5), (1, 0), (), (True,), "text",
+    ])
+    def test_unusable_payload_is_a_miss(self, tmp_path, payload):
+        repro.cache.configure(tmp_path)
+        instance = parse_instance(self.INSTANCE)
+        expected = core(instance)
+        keys = self._fold_payloads()
+        assert keys
+        if payload == "atoms":
+            # The payload format of an older release: canonical atom tuples.
+            payload = tuple(expected.facts)
+        for key in keys:
+            disk_put(SPACE_FOLD, key, payload)
+        clear_fold_cache()
+        with perf.measuring() as stats:
+            result = core(instance)
+        assert stats.get("cache.disk.hits") >= 1  # read, then rejected
+        assert stats.get("core.eliminations") >= 1  # folded again
+        assert result == expected
 
     def test_columnar_memo_hits_on_isomorphic_blocks(self):
         clear_fold_cache()
@@ -182,11 +206,11 @@ class TestSharedFoldTier:
         instance = parse_instance("R(a,_x), R(a,b), T(c,_y), T(c,_z), T(c,d)")
         with perf.measuring() as stats:
             core(instance, backend="columnar")
-        assert stats.get("core.columnar.memo_misses") >= 1
+        assert stats.get("core.memo_misses") >= 1
         core_again = parse_instance("R(a,_w), R(a,f)")
         with perf.measuring() as stats:
             core(core_again, backend="columnar")
-        assert stats.get("core.columnar.memo_hits") >= 1
+        assert stats.get("core.memo_hits") >= 1
 
 
 class TestDecodeMemoCounter:
@@ -209,13 +233,13 @@ class TestDecodeMemoCounter:
 
 
 class TestChooseCoreBackend:
-    def test_auto_small_is_tuple(self):
+    def test_auto_small_is_columnar(self):
         choice = choose_core_backend("auto", input_size=10)
-        assert choice.backend == "tuple" and choice.was_auto
+        assert choice.backend == "columnar" and choice.was_auto
 
     def test_auto_medium_is_columnar(self):
         choice = choose_core_backend(
-            "auto", input_size=CORE_COLUMNAR_AUTO_THRESHOLD)
+            "auto", input_size=CORE_SQL_AUTO_THRESHOLD - 1, sql_supported=True)
         assert choice.backend == "columnar"
 
     def test_auto_large_needs_sql_support(self):
@@ -226,10 +250,12 @@ class TestChooseCoreBackend:
             "auto", input_size=size, sql_supported=False).backend == "columnar"
 
     def test_explicit_passthrough(self):
+        # "tuple" names the one in-memory engine, like "columnar".
+        resolved = {"tuple": "columnar", "columnar": "columnar", "sql": "sql"}
         for backend in BACKENDS:
             choice = choose_core_backend(
                 backend, input_size=1, sql_supported=True)
-            assert choice.backend == backend and not choice.was_auto
+            assert choice.backend == resolved[backend] and not choice.was_auto
 
     def test_explicit_sql_unsupported_raises(self):
         with pytest.raises(ChaseError):
@@ -263,7 +289,7 @@ class TestCoreCli:
         code, report = self._run(
             "core", "--instance", "R(a,_x), R(a,b), R(_y,b)", capsys=capsys)
         assert code == 0
-        assert report["backend"] == "tuple" and report["requested"] == "auto"
+        assert report["backend"] == "columnar" and report["requested"] == "auto"
         assert report["input_facts"] == 3 and report["core_facts"] == 1
         assert "reason" in report and "facts" not in report
 
@@ -273,7 +299,8 @@ class TestCoreCli:
             "core", "--backend", backend, "--facts",
             "--instance", "R(a,_x), R(a,b), T(c,_y), T(c,d)", capsys=capsys)
         assert code == 0
-        assert report["backend"] == backend
+        assert report["backend"] == ("columnar" if backend == "tuple" else backend)
+        assert report["blocks"] == 2 and report["eliminations"] == 2
         assert report["core_facts"] == 2 and len(report["facts"]) == 2
 
     def test_chase_then_core(self, capsys):

@@ -2,6 +2,7 @@
 
 from repro.engine.core_instance import core, is_core
 from repro.engine.homomorphism import homomorphically_equivalent
+from repro.engine.naive import core_naive
 from repro.logic.parser import parse_instance
 
 
@@ -77,3 +78,13 @@ class TestBlocksIndependent:
         # blocks anchored at different constants both survive
         inst = parse_instance("R(a,_x), R(b,_y)")
         assert len(core(inst)) == 2
+
+
+class TestMixedArity:
+    """A relation used at two arities is valid input."""
+
+    def test_core_and_is_core(self):
+        inst = parse_instance("R(a,_x), R(a), R(a,b)")
+        assert core(inst) == core_naive(inst) == parse_instance("R(a), R(a,b)")
+        assert not is_core(inst)
+        assert is_core(core(inst))

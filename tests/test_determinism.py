@@ -2,8 +2,13 @@
 
 Reproducibility is a design commitment (DESIGN.md §6): fresh values come from
 per-run counters, enumeration orders are canonical, and nothing depends on
-set iteration order in a way that changes *results*.
+set iteration order in a way that changes *results* -- not even across
+processes with different ``PYTHONHASHSEED`` values.
 """
+
+import os
+import subprocess
+import sys
 
 from repro.core.canonical import canonical_instances
 from repro.core.fblock_analysis import decide_bounded_fblock_size
@@ -73,3 +78,40 @@ class TestDeterminism:
         left = chase(Instance(sorted(facts, key=repr)), [tgd])
         right = chase(Instance(sorted(facts, key=repr, reverse=True)), [tgd])
         assert left == right
+
+
+#: Chases whose cores are symmetric: each keeps one of several isomorphic
+#: candidate folds, so a hash-dependent search order would show up as a
+#: different surviving null.
+_SYMMETRIC_CORE_SCRIPT = """
+from repro.engine.chase import chase
+from repro.engine.core_instance import core
+from repro.logic.parser import parse_instance, parse_tgd
+
+cases = [
+    ("S(a,b), S(a,c), S(a,d)", "S(x,y) -> exists z . R(x,z)"),
+    ("S(a,b), S(b,a)", "S(x,y) -> exists z, w . E(z,w) & E(w,z)"),
+    ("S(a,b)", "S(x,y) -> exists z1, z2, z3, z4 . E(z1,z2) & E(z2,z1) & "
+               "E(z2,z3) & E(z3,z2) & E(z3,z4) & E(z4,z3) & E(z4,z1) & E(z1,z4)"),
+]
+for source, tgd in cases:
+    chased = chase(parse_instance(source), [parse_tgd(tgd)])
+    print(sorted(repr(fact) for fact in core(chased)))
+"""
+
+
+def test_core_independent_of_hash_seed():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH="src")
+        result = subprocess.run(
+            [sys.executable, "-c", _SYMMETRIC_CORE_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=root,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout)
+    assert len(outputs) == 1

@@ -11,7 +11,7 @@ The kernel (:mod:`repro.engine.hom_kernel`) and the new worklist core
 from __future__ import annotations
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.engine.core_instance import clear_fold_cache, core, is_core
 from repro.engine.homomorphism import (
@@ -27,10 +27,16 @@ from repro.logic.values import Constant, Null
 
 from tests.strategies import instances
 
+#: A relation used at two arities: valid input (the SQL core names it as a
+#: fallback case), and a candidate list seeded from ``R`` must skip ``R(a)``.
+MIXED_ARITY = parse_instance("R(a), R(a,b)")
+
 
 class TestKernelAgreesWithNaive:
     @settings(max_examples=120, deadline=None)
     @given(source=instances(), target=instances())
+    @example(source=parse_instance("R(_x,_y)"), target=MIXED_ARITY)
+    @example(source=parse_instance("R(_x)"), target=MIXED_ARITY)
     def test_same_existence_verdict(self, source, target):
         fast = find_homomorphism(source, target)
         slow = find_homomorphism_naive(source, target)
@@ -40,6 +46,7 @@ class TestKernelAgreesWithNaive:
 
     @settings(max_examples=60, deadline=None)
     @given(source=instances(max_nulls=0), target=instances())
+    @example(source=parse_instance("R(a,b)"), target=MIXED_ARITY)
     def test_ground_source(self, source, target):
         # All-constant sources: a homomorphism exists iff source <= target.
         fast = find_homomorphism(source, target)
@@ -55,6 +62,7 @@ class TestKernelAgreesWithNaive:
 
     @settings(max_examples=60, deadline=None)
     @given(target=instances())
+    @example(target=MIXED_ARITY)
     def test_single_null_block(self, target):
         source = Instance([Atom("R", (Constant("a0"), Null("n0")))])
         fast = find_homomorphism(source, target)
@@ -65,6 +73,7 @@ class TestKernelAgreesWithNaive:
 
     @settings(max_examples=60, deadline=None)
     @given(source=instances(), target=instances())
+    @example(source=parse_instance("R(_x,_y)"), target=MIXED_ARITY)
     def test_fixed_bindings_respected(self, source, target):
         nulls = sorted(source.nulls(), key=repr)
         if not nulls:
@@ -88,6 +97,7 @@ class TestKernelAgreesWithNaive:
 class TestCoreAgreesWithNaive:
     @settings(max_examples=80, deadline=None)
     @given(instance=instances())
+    @example(instance=parse_instance("R(a,_x), R(a), R(a,b)"))
     def test_cores_hom_equivalent_and_same_size(self, instance):
         clear_fold_cache()
         fast = core(instance)
@@ -101,6 +111,7 @@ class TestCoreAgreesWithNaive:
 
     @settings(max_examples=80, deadline=None)
     @given(instance=instances())
+    @example(instance=parse_instance("R(a,_x), R(a), R(a,b)"))
     def test_core_is_subinstance_and_core(self, instance):
         folded = core(instance)
         assert folded.facts <= instance.facts
