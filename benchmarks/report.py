@@ -300,23 +300,6 @@ def engine_counters() -> None:
         f"backtracks = {stats.get('hom.backtracks')}"
     )
 
-    # The same pinned hub against a columnar target: the id-space kernel
-    # runs AC-3 and search over integer ids with no atom decode on the hot
-    # path (the hom.columnar.* counters mirror their hom.* twins).
-    from repro.engine.columnar import ColumnarInstance
-    from repro.engine.hom_kernel import find_homomorphism_indexed
-
-    store = ColumnarInstance(hom_target)
-    with perf.measuring() as stats:
-        assert find_homomorphism_indexed(hom_source, store) is not None
-    print(
-        f"id-space kernel (same hub, columnar target): "
-        f"kernel calls = {stats.get('hom.columnar.kernel_calls')}, "
-        f"ac3 revisions = {stats.get('hom.columnar.ac3_revisions')}, "
-        f"search nodes = {stats.get('hom.columnar.search_nodes')}, "
-        f"decoded rows = {stats.get('backend.columnar.decoded_rows')}"
-    )
-
     # The chase of the star has n isomorphic blocks: the core engine folds
     # one and drops the other n - 1 by canonical-form deduplication.
     from repro.engine.core_instance import clear_fold_cache

@@ -41,14 +41,12 @@ from repro.engine.chase import chase, chase_so_tgd, chase_st_tgds
 from repro.engine.nested_chase import ChaseForest, ChaseTree, Triggering, chase_nested
 from repro.engine.egd_chase import chase_egds
 from repro.engine.fixpoint_chase import FixpointChaseResult, fixpoint_chase
-from repro.engine.columnar import ColumnarInstance
 from repro.engine.dispatch import BACKENDS, BackendChoice, choose_backend
 from repro.engine.model_check import satisfies
 
 __all__ = [
     "BACKENDS",
     "BackendChoice",
-    "ColumnarInstance",
     "choose_backend",
     "InstanceBuilder",
     "find_matches",

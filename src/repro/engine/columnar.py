@@ -13,11 +13,11 @@ encode/decode boundary and when a *new* Skolem term is first created.
 
 Three layers:
 
-- :class:`ColumnarInstance` -- the store.  It implements the read API of
-  the :class:`~repro.engine.hom_kernel.FactIndex` protocol (``facts_of`` /
-  ``facts_with`` / ``__contains__`` / iteration), decoding rows to interned
-  :class:`Atom` objects lazily and caching them, so the homomorphism kernel
-  and the generic matching engine run over it unchanged.
+- :class:`ColumnarInstance` -- the store, private to the columnar chase and
+  core engines: they read its groups' columns and indexes directly.  It has
+  no :class:`~repro.logic.instances.Instance` read API; its only way out is
+  iteration, which :meth:`~ColumnarInstance.to_instance` uses to decode the
+  live rows into an immutable ``Instance``.
 - :class:`_ClausePlan` -- one Skolemized clause compiled against the store:
   a greedy join order (most bound variables first), per-atom bind/check
   position lists resolved to environment *slots*, and head/equality term
@@ -30,24 +30,20 @@ Three layers:
 
 Perf counters: ``backend.columnar.joins`` (per-atom index joins performed),
 ``backend.columnar.encoded_rows`` / ``backend.columnar.decoded_rows`` (facts
-crossing the object/array boundary), ``backend.columnar.probe_hits``
-(``facts_of`` / ``facts_with`` probes answered by the per-group decode memo
-without re-materializing an atom list).
+crossing the object/array boundary).
 
 The store also supports **tombstone deletion** (:meth:`ColumnarInstance.
-discard_row` / :meth:`~ColumnarInstance.discard_fact`): a discarded row is
-removed from the dedup map and the inverted index and recorded in the
-group's ``dead`` set, so full-scan fallbacks skip it while the columns keep
-their dense layout.  The chase engines never delete; the core engine
-(:mod:`repro.engine.core_instance`) retracts eliminated facts this
-way, and every read path filters dead rows only behind an ``if group.dead``
-guard, keeping the append-only hot paths unchanged.
+discard_row`): a discarded row is removed from the dedup map and the
+inverted index and recorded in the group's ``dead`` set, so full scans
+(:meth:`_RelGroup.live_rows`) skip it while the columns keep their dense
+layout.  The chase engines never delete; the core engine
+(:mod:`repro.engine.core_instance`) retracts eliminated facts this way.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro import perf
 from repro.errors import BudgetExceeded, ChaseError
@@ -56,8 +52,6 @@ from repro.logic.instances import Instance
 from repro.logic.sotgd import SOClause
 from repro.logic.terms import FuncTerm, is_ground
 from repro.logic.values import Variable
-
-_EMPTY: tuple = ()
 
 
 class ValueTable:
@@ -84,10 +78,6 @@ class ValueTable:
             self._values.append(value)
         return vid
 
-    def lookup(self, value: object) -> int | None:
-        """The id of *value*, or None if it was never interned."""
-        return self._id_of.get(value)
-
     def value(self, vid: int) -> object:
         return self._values[vid]
 
@@ -98,10 +88,7 @@ class ValueTable:
 class _RelGroup:
     """The fact table of one (relation, arity): columns, dedup map, index."""
 
-    __slots__ = (
-        "relation", "arity", "columns", "row_of", "index", "atoms",
-        "dead", "probe", "facts_cache",
-    )
+    __slots__ = ("relation", "arity", "columns", "row_of", "index", "atoms", "dead")
 
     def __init__(self, relation: str, arity: int) -> None:
         self.relation = relation
@@ -112,10 +99,6 @@ class _RelGroup:
         self.atoms: list[Atom | None] = []
         #: Tombstoned row indexes (usually empty; see module docstring).
         self.dead: set[int] = set()
-        #: Probe memo: (position, vid) -> decoded atom list, dropped on mutation.
-        self.probe: dict[tuple[int, int], list[Atom]] = {}
-        #: ``facts_of`` memo for this group, dropped on mutation.
-        self.facts_cache: list[Atom] | None = None
 
     def __len__(self) -> int:
         return len(self.atoms) - len(self.dead)
@@ -134,10 +117,6 @@ class _RelGroup:
         row = len(self.atoms)
         self.row_of[ids] = row
         self.atoms.append(None)
-        if self.probe:
-            for position, vid in enumerate(ids):
-                self.probe.pop((position, vid), None)
-        self.facts_cache = None
         for position, vid in enumerate(ids):
             self.columns[position].append(vid)
             bucket = self.index[position].get(vid)
@@ -157,7 +136,6 @@ class _RelGroup:
         del self.row_of[ids]
         self.dead.add(row)
         self.atoms[row] = None
-        self.facts_cache = None
         for position, vid in enumerate(ids):
             bucket = self.index[position].get(vid)
             if bucket is not None:
@@ -167,12 +145,11 @@ class _RelGroup:
                     pass
                 if not bucket:
                     del self.index[position][vid]
-            self.probe.pop((position, vid), None)
         return True
 
 
 class ColumnarInstance:
-    """A mutable columnar fact store satisfying the ``FactIndex`` protocol."""
+    """A mutable id-space fact store: one :class:`_RelGroup` per (relation, arity)."""
 
     __slots__ = ("values", "_groups", "_count")
 
@@ -229,26 +206,6 @@ class ColumnarInstance:
             return True
         return False
 
-    def discard_fact(self, fact: Atom) -> bool:
-        """Tombstone the row holding *fact*, if present."""
-        groups = self._groups.get(fact.relation)
-        if not groups:
-            return False
-        lookup = self.values.lookup
-        ids = []
-        for arg in fact.args:
-            vid = lookup(arg)
-            if vid is None:
-                return False
-            ids.append(vid)
-        key = tuple(ids)
-        for group in groups:
-            if group.arity == len(key):
-                row = group.row_of.get(key)
-                if row is not None:
-                    return self.discard_row(group, row)
-        return False
-
     # ------------------------------------------------------------------ decode
 
     def decode_row(self, group: _RelGroup, row: int) -> Atom:
@@ -266,114 +223,6 @@ class ColumnarInstance:
         """Decode every row into the immutable tuple representation."""
         perf.incr("backend.columnar.decoded_rows", self._count)
         return Instance(self)
-
-    # --------------------------------------------------- FactIndex / read API
-
-    def _group_facts(self, group: _RelGroup) -> list[Atom]:
-        """All live facts of *group*, through the per-group decode memo."""
-        cached = group.facts_cache
-        if cached is None:
-            decode = self.decode_row
-            cached = [decode(group, row) for row in group.live_rows()]
-            group.facts_cache = cached
-        else:
-            perf.incr("backend.columnar.probe_hits")
-        return cached
-
-    def facts_of(self, relation: str) -> Collection[Atom]:
-        groups = self._groups.get(relation)
-        if not groups:
-            return _EMPTY
-        if len(groups) == 1:
-            return self._group_facts(groups[0])
-        out: list[Atom] = []
-        for group in groups:
-            out.extend(self._group_facts(group))
-        return out
-
-    def facts_with(self, relation: str, position: int, value: object) -> Collection[Atom]:
-        groups = self._groups.get(relation)
-        if not groups:
-            return _EMPTY
-        vid = self.values.lookup(value)
-        if vid is None:
-            return _EMPTY
-        out: list[Atom] | None = None
-        single: list[Atom] | None = None
-        for group in groups:
-            if position >= group.arity:
-                continue
-            cached = group.probe.get((position, vid))
-            if cached is None:
-                decode = self.decode_row
-                cached = [
-                    decode(group, row)
-                    for row in group.index[position].get(vid, _EMPTY)
-                ]
-                group.probe[(position, vid)] = cached
-            else:
-                perf.incr("backend.columnar.probe_hits")
-            if single is None and out is None:
-                single = cached
-            else:
-                if out is None:
-                    out = list(single) if single else []
-                    single = None
-                out.extend(cached)
-        if out is not None:
-            return out
-        return single if single is not None else _EMPTY
-
-    def facts_containing(self, value: object) -> Collection[Atom]:
-        """The live facts in which *value* occurs (at any position)."""
-        vid = self.values.lookup(value)
-        if vid is None:
-            return _EMPTY
-        decode = self.decode_row
-        out: list[Atom] = []
-        for groups in self._groups.values():
-            for group in groups:
-                rows: set[int] = set()
-                for position_index in group.index:
-                    rows.update(position_index.get(vid, _EMPTY))
-                for row in sorted(rows):
-                    out.append(decode(group, row))
-        return out
-
-    def active_domain(self) -> frozenset:
-        """The values occurring in some live fact."""
-        value = self.values.value
-        vids: set[int] = set()
-        for groups in self._groups.values():
-            for group in groups:
-                for position_index in group.index:
-                    vids.update(position_index)
-        return frozenset(value(vid) for vid in vids)
-
-    def nulls(self) -> frozenset:
-        """The null values (labeled nulls, ground Skolem terms) of the store."""
-        from repro.logic.values import is_null
-
-        return frozenset(v for v in self.active_domain() if is_null(v))
-
-    def __contains__(self, fact: Atom) -> bool:
-        groups = self._groups.get(fact.relation)
-        if not groups:
-            return False
-        lookup = self.values.lookup
-        ids = []
-        for arg in fact.args:
-            vid = lookup(arg)
-            if vid is None:
-                return False
-            ids.append(vid)
-        key = tuple(ids)
-        return any(
-            group.arity == len(key) and key in group.row_of for group in groups
-        )
-
-    def relations(self) -> frozenset[str]:
-        return frozenset(self._groups)
 
     def __len__(self) -> int:
         return self._count

@@ -553,9 +553,7 @@ def _encode(instance: Instance) -> ColumnarInstance:
     return ColumnarInstance(instance, values=values)
 
 
-def core(
-    instance: "Instance | ColumnarInstance", *, backend: str = "columnar"
-) -> Instance:
+def core(instance: Instance, *, backend: str = "columnar") -> Instance:
     """Return the core of *instance*.
 
         >>> from repro.logic.parser import parse_instance
@@ -572,8 +570,8 @@ def core(
     ``"sql"`` (per-block eliminating homomorphisms as SELECT joins), or
     ``"auto"`` (:func:`~repro.engine.dispatch.choose_core_backend` by
     instance size).  All backends return the same core up to isomorphism.
-    A :class:`~repro.engine.columnar.ColumnarInstance` input is consumed:
-    eliminations tombstone its rows in place.
+    The in-memory engine works on a private id-space copy of *instance*,
+    which is left unchanged.
     """
     size = len(instance)
     sql_supported = False
@@ -587,7 +585,7 @@ def core(
 
         return sql_core(instance)
 
-    store = instance if isinstance(instance, ColumnarInstance) else _encode(instance)
+    store = _encode(instance)
     engine = _ColumnarCore(store.values)
     blocks = engine.null_blocks(store)
     perf.incr("core.blocks", len(blocks))

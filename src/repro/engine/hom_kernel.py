@@ -24,6 +24,10 @@ and :class:`~repro.engine.builder.InstanceBuilder` maintain:
    *free* (unfixed) nulls and each component is solved independently; ground
    and fully-fixed facts reduce to membership tests.
 
+The kernel serves every Atom-level caller: IMPLIES, model checking and the
+standard chase.  Only the core engine searches in id space, through
+:func:`repro.engine.hom_kernel_columnar.solve_encoded` over its own store.
+
 The naive reference implementation (no indexes, no decomposition, no
 propagation) is preserved in :func:`repro.engine.naive.find_homomorphism_naive`
 for differential testing and for the speedup curves of
@@ -37,10 +41,9 @@ from collections.abc import Collection, Iterable, Mapping
 from typing import Protocol
 
 from repro import perf
-from repro.engine.columnar import ColumnarInstance
-from repro.engine.hom_kernel_columnar import block_homomorphism_columnar
 from repro.logic.atoms import Atom
 from repro.logic.values import is_null
+
 
 class FactIndex(Protocol):
     """The read API the kernel needs from a target (Instance or builder)."""
@@ -315,27 +318,6 @@ def block_homomorphism(
 
     *fixed* pre-binds some nulls (the bindings are honored but not returned).
     The returned dict binds exactly the free nulls of *facts*.
-
-    Dispatches by target type: a :class:`~repro.engine.columnar.
-    ColumnarInstance` target runs on the integer-domain kernel of
-    :mod:`repro.engine.hom_kernel_columnar` (no atom decode on the hot
-    path); everything else runs the generic kernel below over the
-    ``FactIndex`` protocol.
-    """
-    if isinstance(target, ColumnarInstance):
-        return block_homomorphism_columnar(facts, target, fixed)
-    return block_homomorphism_generic(facts, target, fixed)
-
-
-def block_homomorphism_generic(
-    facts: Iterable[Atom],
-    target: FactIndex,
-    fixed: Mapping[object, object] | None = None,
-) -> dict[object, object] | None:
-    """The generic (decode-through) kernel over any ``FactIndex`` target.
-
-    Kept callable directly so the benchmarks can compare the id-space kernel
-    against decoding columnar rows through ``facts_of`` / ``facts_with``.
     """
     fixed = fixed or {}
     stats = _Stats()
@@ -380,6 +362,5 @@ def find_homomorphism_indexed(
 __all__ = [
     "FactIndex",
     "block_homomorphism",
-    "block_homomorphism_generic",
     "find_homomorphism_indexed",
 ]

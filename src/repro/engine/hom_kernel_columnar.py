@@ -1,43 +1,33 @@
-"""Integer-domain homomorphism kernel over the columnar backend.
+"""Integer-domain homomorphism kernel of the in-memory core engine.
 
-This is the CSP kernel of :mod:`repro.engine.hom_kernel` re-based onto
-:class:`~repro.engine.columnar.ColumnarInstance`: candidate domains are row
-ids read straight out of the per-(position, value-id) inverted index,
-AC-3 propagation and the most-constrained-variable search compare machine
-integers from the ``array('q')`` columns, and connected-component
-decomposition runs over variable keys -- no :class:`~repro.logic.atoms.Atom`
-is decoded anywhere on the hot path.  Interned value objects appear only at
-the boundary: when a source fact is *encoded* against the target's
-:class:`~repro.engine.columnar.ValueTable` and when a found solution is
-decoded back into the ``null -> value`` mapping the tuple kernel returns.
+This is the CSP kernel of :mod:`repro.engine.hom_kernel` re-based onto the
+id-space store :class:`~repro.engine.columnar.ColumnarInstance`: candidate
+domains are row ids read straight out of the per-(position, value-id)
+inverted index, AC-3 propagation and the most-constrained-variable search
+compare machine integers from the ``array('q')`` columns, and
+connected-component decomposition runs over variable keys -- no
+:class:`~repro.logic.atoms.Atom` is decoded anywhere.
 
-Two entry layers:
+Its one entry is :func:`solve_encoded`: a block of :class:`EncodedFact`
+rows, which the core engine (:mod:`repro.engine.core_instance`) builds
+directly from group columns, is split into components and solved.
+Variable keys are opaque hashables (the core engine uses the null value
+ids themselves); domain elements are always integer value ids.  Every
+Atom-level caller (IMPLIES, model checking, the standard chase) runs the
+generic kernel of :mod:`repro.engine.hom_kernel` instead.
 
-- :func:`block_homomorphism_columnar` -- drop-in for
-  :func:`repro.engine.hom_kernel.block_homomorphism` when the target is a
-  ``ColumnarInstance`` (``hom_kernel`` dispatches here by instance type, so
-  ``find_homomorphism`` / ``model_check`` callers never change).  Source
-  facts arrive as atoms; *fixed* bindings are folded into constant ids at
-  encode time.
-- :func:`solve_encoded` -- the id-space core: a block of
-  :class:`EncodedFact` rows (built by this module or directly from group
-  columns by the core engine) is split into components and solved.
-  Variable keys are opaque hashables (interned nulls from the atom path,
-  integer value ids from the core engine); domain elements are always
-  integer value ids.
-
-The semantics match the tuple kernel exactly -- same candidate seeding from
-the most selective bound position, same generalized arc consistency, same
-most-constrained-first search with full look-ahead -- so verdicts agree on
-every input; only the found witness may differ (both are valid
-homomorphisms).  :func:`solve_encoded` also takes per-group ``forbidden``
-row sets: those rows count as absent.  This is how the core engine
-(:mod:`repro.engine.core_instance`) expresses "the instance minus the facts
-containing null x" without copying anything.
+The search matches the generic kernel -- same candidate seeding from the
+most selective bound position, same generalized arc consistency, same
+most-constrained-first search with full look-ahead; ties are broken on
+value ids rather than value reprs, so a found witness may differ.
+:func:`solve_encoded` also takes per-group ``forbidden`` row
+sets: those rows count as absent.  This is how the core engine expresses
+"the instance minus the facts containing null x" without copying anything.
 
 Perf counters: ``hom.columnar.kernel_calls``, ``hom.columnar.ac3_revisions``,
 ``hom.columnar.ac3_wipeouts``, ``hom.columnar.search_nodes``,
-``hom.columnar.backtracks`` (same meanings as their ``hom.*`` twins).
+``hom.columnar.backtracks`` (same meanings as their ``hom.*`` twins, counted
+for the core engine's searches).
 """
 
 from __future__ import annotations
@@ -46,9 +36,7 @@ from collections import deque
 from collections.abc import Iterable, Mapping
 
 from repro import perf
-from repro.engine.columnar import ColumnarInstance, _RelGroup
-from repro.logic.atoms import Atom
-from repro.logic.values import is_null
+from repro.engine.columnar import _RelGroup
 
 _CONST = 0
 _VAR = 1
@@ -81,9 +69,9 @@ class EncodedFact:
     """One source fact resolved against a target group.
 
     ``args`` holds one ``(kind, key)`` pair per position: ``(_CONST, vid)``
-    for a ground (or pre-bound) value id, ``(_VAR, key)`` for a free
-    variable.  ``var_positions`` lists the first occurrence of each distinct
-    variable -- the positions whose candidate columns define its domain.
+    for a fixed value id, ``(_VAR, key)`` for a free variable.
+    ``var_positions`` lists the first occurrence of each distinct variable
+    -- the positions whose candidate columns define its domain.
     """
 
     __slots__ = ("group", "args", "var_positions")
@@ -98,42 +86,6 @@ class EncodedFact:
                 seen.add(key)
                 positions.append((pos, key))
         self.var_positions = tuple(positions)
-
-
-def encode_facts(
-    facts: Iterable[Atom],
-    target: ColumnarInstance,
-    fixed: Mapping[object, object],
-) -> list[EncodedFact] | None:
-    """Encode source atoms against *target*'s value table, or None on a
-    value/relation the target provably cannot match (fail fast)."""
-    lookup = target.values.lookup
-    groups = target._groups
-    encoded: list[EncodedFact] = []
-    for fact in facts:
-        group: _RelGroup | None = None
-        for candidate in groups.get(fact.relation, ()):
-            if candidate.arity == fact.arity:
-                group = candidate
-                break
-        if group is None:
-            return None
-        args: list[tuple[int, object]] = []
-        for arg in fact.args:
-            if is_null(arg):
-                bound_value = fixed.get(arg)
-                if bound_value is None:
-                    args.append((_VAR, arg))
-                    continue
-                arg = bound_value
-            vid = lookup(arg)
-            if vid is None:
-                # The required value was never interned by the target, so no
-                # target fact can contain it.
-                return None
-            args.append((_CONST, vid))
-        encoded.append(EncodedFact(group, tuple(args)))
-    return encoded
 
 
 def _split_components(
@@ -370,34 +322,7 @@ def solve_encoded(
         stats.flush()
 
 
-def block_homomorphism_columnar(
-    facts: Iterable[Atom],
-    target: ColumnarInstance,
-    fixed: Mapping[object, object] | None = None,
-) -> dict[object, object] | None:
-    """Map the free nulls of *facts* so every fact lands in *target*, or None.
-
-    Same contract as :func:`repro.engine.hom_kernel.block_homomorphism`
-    (which dispatches here when the target is columnar): *fixed* pre-binds
-    some nulls without returning them, and the returned dict binds exactly
-    the free nulls of *facts*.
-    """
-    fixed = fixed or {}
-    encoded = encode_facts(facts, target, fixed)
-    if encoded is None:
-        # Unmatchable relation or value; still one kernel call for accounting.
-        perf.incr("hom.columnar.kernel_calls")
-        return None
-    solution = solve_encoded(encoded)
-    if solution is None:
-        return None
-    value = target.values.value
-    return {null: value(vid) for null, vid in solution.items()}
-
-
 __all__ = [
     "EncodedFact",
-    "block_homomorphism_columnar",
-    "encode_facts",
     "solve_encoded",
 ]

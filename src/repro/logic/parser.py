@@ -18,6 +18,9 @@ nested tgd -- parenthesized implications in a conclusion open nested parts::
 
     S1(x1) -> exists y1 . ( R2(y1) & ( S3(x1,x3) -> R3(y1,x3) ) )
 
+(parts nest at most ``MAX_NESTING_DEPTH`` levels deep; deeper input is a
+:class:`~repro.errors.ParseError`)
+
 SO tgd -- clauses separated by ``;``, function terms and equalities allowed::
 
     Emp(e) -> Mgr(e, f(e)) ; Emp(e) & e = f(e) -> SelfMgr(e)
@@ -258,8 +261,27 @@ def _looks_like_implication(tokens: _Tokens) -> bool:
     return False
 
 
-def _parse_part(tokens: _Tokens, scope: frozenset[Variable]) -> Part:
-    """Parse one implication ``body -> conclusion`` into a :class:`Part`."""
+#: The deepest part nesting :func:`parse_nested_tgd` accepts (a single-part
+#: tgd has depth 1).  Code that walks a nested tgd (construction,
+#: Skolemization, the chases) recurses per level, so deeper input is refused
+#: here with a :class:`ParseError` rather than failing later with a
+#: ``RecursionError``.  At 329 every tgd that parsed under a recursive
+#: parser at CPython's default recursion limit still parses.
+MAX_NESTING_DEPTH = 329
+
+
+def _parse_part(tokens: _Tokens, scope: frozenset[Variable], depth: int = 1) -> Part:
+    """Parse one implication ``body -> conclusion`` into a :class:`Part`.
+
+    Recurses only into nested parts; grouping parentheses in a conclusion
+    are counted, not recursed into.
+    """
+    if depth > MAX_NESTING_DEPTH:
+        raise ParseError(
+            f"nested tgd nesting depth {depth} exceeds the maximum of "
+            f"{MAX_NESTING_DEPTH} levels",
+            tokens.position(), tokens.text, token=tokens.peek(),
+        )
     _skip_forall(tokens)
     body = _parse_atom_conjunction(tokens)
     tokens.expect("->")
@@ -277,39 +299,33 @@ def _parse_part(tokens: _Tokens, scope: frozenset[Variable]) -> Part:
     head: list[Atom] = []
     children: list[Part] = []
     extra_exists: list[Variable] = []
-
-    def parse_item() -> None:
-        nonlocal head_scope
-        if tokens.peek() == "(":
-            if _looks_like_implication_after_paren(tokens):
-                tokens.expect("(")
-                children.append(_parse_part(tokens, frozenset(head_scope)))
-                tokens.expect(")")
-                return
+    groups = 0  # grouping parentheses open in the conclusion
+    while True:
+        while tokens.peek() == "(" and not _looks_like_implication_after_paren(tokens):
             tokens.expect("(")
-            parse_conjunct()
+            groups += 1
+        if tokens.peek() == "(":
+            tokens.expect("(")
+            children.append(_parse_part(tokens, frozenset(head_scope), depth + 1))
             tokens.expect(")")
-            return
-        atom = _parse_atom(tokens, allow_terms=False)
-        for var in atom.variables():
-            if var not in head_scope:
-                extra_exists.append(var)
-                head_scope = head_scope | {var}
-        head.append(atom)
-
-    def parse_conjunct() -> None:
-        parse_item()
-        while tokens.try_take("&"):
-            parse_item()
-
-    parse_conjunct()
-    return Part(
-        universal_vars=universal,
-        body=tuple(body),
-        exist_vars=exist_vars + tuple(dict.fromkeys(extra_exists)),
-        head=tuple(head),
-        children=tuple(children),
-    )
+        else:
+            atom = _parse_atom(tokens, allow_terms=False)
+            for var in atom.variables():
+                if var not in head_scope:
+                    extra_exists.append(var)
+                    head_scope = head_scope | {var}
+            head.append(atom)
+        while not tokens.try_take("&"):
+            if not groups:
+                return Part(
+                    universal_vars=universal,
+                    body=tuple(body),
+                    exist_vars=exist_vars + tuple(dict.fromkeys(extra_exists)),
+                    head=tuple(head),
+                    children=tuple(children),
+                )
+            tokens.expect(")")
+            groups -= 1
 
 
 def _looks_like_implication_after_paren(tokens: _Tokens) -> bool:

@@ -25,11 +25,11 @@ Counter names are dotted strings, grouped by subsystem:
 ``hom.ac3_wipeouts``      searches refuted by propagation alone (an emptied
                           domain or candidate list)
 ``hom.search_nodes``      nodes visited by the most-constrained-null search
-``hom.columnar.kernel_calls``  calls into the id-space (columnar) hom kernel;
-                          the remaining ``hom.columnar.*`` counters mirror
-                          their ``hom.*`` twins (``ac3_revisions``,
-                          ``ac3_wipeouts``, ``search_nodes``, ``backtracks``)
-                          for the integer-domain kernel
+``hom.columnar.kernel_calls``  calls into the id-space hom kernel, which
+                          only the in-memory core engine runs; the remaining
+                          ``hom.columnar.*`` counters mirror their ``hom.*``
+                          twins (``ac3_revisions``, ``ac3_wipeouts``,
+                          ``search_nodes``, ``backtracks``) for that kernel
 ``core.blocks``           null-containing f-blocks seen by ``core``'s
                           in-memory engine (its eliminating searches count
                           under ``hom.columnar.*``)
@@ -83,9 +83,6 @@ Counter names are dotted strings, grouped by subsystem:
                           at engine exit
 ``backend.columnar.encoded_rows``  facts encoded into columnar id rows
 ``backend.columnar.decoded_rows``  columnar rows decoded back into facts
-``backend.columnar.probe_hits``  ``facts_of`` / ``facts_with`` probes
-                          answered by the per-group decode memo without
-                          re-materializing an atom list
 ``containment.queries``   ``Sigma <= Sigma'`` queries answered by
                           ``analysis.containment.check_containment``
 ``containment.checks``    gated IMPLIES sweeps actually run by the

@@ -1,9 +1,15 @@
 """Tests for the dependency/instance parser and its error reporting."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+from repro.engine.chase import chase
 from repro.errors import ParseError
 from repro.logic.parser import (
+    MAX_NESTING_DEPTH,
     parse_atom,
     parse_egd,
     parse_instance,
@@ -77,6 +83,49 @@ class TestNestedTgds:
     def test_unbalanced_parens_rejected(self):
         with pytest.raises(ParseError):
             parse_nested_tgd("S(x) -> (T(y) -> R(x, y)")
+
+
+def _nested_chain(depth: int) -> str:
+    """A nested tgd whose parts form one chain *depth* levels deep."""
+    text = ""
+    for level in reversed(range(depth)):
+        body = "S0(x0)" if level == 0 else f"S{level}(x{level - 1},x{level})"
+        text = f"{body} -> R{level}(x{level})" + (f" & ({text})" if text else "")
+    return text
+
+
+class TestNestingDepth:
+    """Deep nesting parses up to a fixed depth and is a ParseError beyond it."""
+
+    def test_deepest_accepted_nesting_parses_and_chases(self):
+        assert MAX_NESTING_DEPTH == 329
+        tgd = parse_nested_tgd(_nested_chain(329))
+        assert tgd.depth() == 329
+        out = chase(parse_instance("S0(a), S1(a,b)"), [tgd])
+        assert out == parse_instance("R0(a), R1(b)")
+
+    @pytest.mark.parametrize("depth", [400, 1000])
+    def test_deeper_nesting_is_a_parse_error(self, depth):
+        with pytest.raises(ParseError, match="nesting depth 330"):
+            parse_nested_tgd(_nested_chain(depth))
+
+    def test_grouping_parentheses_do_not_count(self):
+        tgd = parse_nested_tgd("S(x) -> " + "(" * 1000 + "R(x)" + ")" * 1000)
+        assert tgd.depth() == 1
+
+    def test_cli_reports_the_depth_without_a_traceback(self, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text(_nested_chain(400))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "implies",
+             "--lhs", path.read_text(), "--rhs", "S0(x) -> R0(x)"],
+            capture_output=True, text=True, cwd=root,
+            env=dict(os.environ, PYTHONPATH="src"),
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: nested tgd nesting depth 330")
+        assert "Traceback" not in result.stderr
 
 
 class TestSOTgds:
