@@ -375,8 +375,7 @@ def cache_persistence() -> None:
 def extensions() -> None:
     section("EXT -- composition, certain answers, SQL, unfoldings")
     from repro.core.unfoldings import unfolding
-    from repro.export.sql import compile_mapping_to_sql, execute_exchange, \
-        render_instance_values
+    from repro.export.sql import compile_mapping_to_sql, execute_exchange
     from repro.mappings.composition import compose
     from repro.queries import certain_answers, parse_query
     from repro.workloads.scenarios import SHOP
@@ -398,8 +397,7 @@ def extensions() -> None:
           f"flat {len(flat_certain)}")
 
     via_sql = execute_exchange(source, [SHOP.nested])
-    via_chase = render_instance_values(chase(source, [SHOP.nested]))
-    print("SQL execution agrees with the chase:", via_sql.isomorphic(via_chase))
+    print("SQL execution equals the chase:", via_sql == chase(source, [SHOP.nested]))
     print("compiled statements:", len(compile_mapping_to_sql([SHOP.nested])))
 
     sizes = [len(unfolding(INTRO, n)) for n in (1, 2, 3, 4)]

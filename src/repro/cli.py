@@ -287,22 +287,16 @@ def cmd_profile(args) -> int:
 
 def cmd_sql(args) -> int:
     from repro.export.sql import compile_mapping_to_sql, schema_ddl
-    from repro.logic.nested import nested_tgds_from
-    from repro.logic.schema import Schema
 
-    deps = nested_tgds_from(_dependencies(args))
-    source_schema, target_schema = Schema(), Schema()
-    for tgd in deps:
-        source_schema = source_schema.union(tgd.source_schema())
-        target_schema = target_schema.union(tgd.target_schema())
-    print("-- source schema")
-    for statement in schema_ddl(source_schema):
-        print(f"{statement};")
-    print("-- target schema")
-    for statement in schema_ddl(target_schema):
+    deps = _dependencies(args)
+    tables, inserts = schema_ddl(deps), compile_mapping_to_sql(deps)
+    print("-- source relation R is table src_R, target relation R is tgt_R;")
+    print("-- cells hold constants as 'c<name>', nulls as 'n<label>' and")
+    print("-- Skolem terms as 'f<function>(<length>:<argument>,...)'")
+    for statement in tables:
         print(f"{statement};")
     print("-- transformation")
-    for statement in compile_mapping_to_sql(deps):
+    for statement in inserts:
         print(f"{statement};")
     return 0
 

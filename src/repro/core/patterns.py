@@ -28,6 +28,7 @@ interned pattern are already canonically sorted, rebuilding a tree bottom-up
 
 from __future__ import annotations
 
+from itertools import chain, product
 from typing import Iterator
 
 from repro.errors import DependencyError, ResourceLimitExceeded
@@ -209,7 +210,7 @@ class Pattern:
 
 
 class _Budget:
-    """A mutable enumeration budget shared across the recursive construction."""
+    """A mutable enumeration budget shared across one enumeration."""
 
     def __init__(self, limit: int | None):
         self.limit = limit
@@ -223,55 +224,33 @@ class _Budget:
             raise ResourceLimitExceeded("patterns", self.limit)
 
 
-def _multiplicity_choices(options: list[Pattern], k: int, budget: _Budget):
-    """Yield all multisets over *options* with per-element multiplicity 0..k.
+def _root_patterns(tgd: NestedTgd, k: int, budget: _Budget) -> list[Pattern]:
+    """Materialize ``P*_k(sigma_1)`` (Proposition 3.5) bottom-up.
 
-    Each yielded value is a tuple of (pattern, multiplicity > 0) pairs.
+    Parts are visited in reverse preorder (children before parents) without
+    recursion, so any nesting depth the parser accepts is enumerated (or
+    stopped by *budget*).  A part's patterns pick one multiset per child
+    part; choosing a multiset over all children's patterns at once is the
+    same choice.
     """
-
-    def recurse(index: int, chosen: list[tuple[Pattern, int]]):
-        if index == len(options):
-            yield tuple(chosen)
-            return
-        for multiplicity in range(k + 1):
-            if multiplicity:
-                chosen.append((options[index], multiplicity))
-            yield from recurse(index + 1, chosen)
-            if multiplicity:
-                chosen.pop()
-
-    yield from recurse(0, [])
-
-
-def _patterns_for_part(
-    tgd: NestedTgd, pid: int, k: int, budget: _Budget, memo: dict[int, list[Pattern]]
-) -> list[Pattern]:
-    """Materialize ``P*_k(sigma_pid)`` (Proposition 3.5), memoized per part."""
-    if pid in memo:
-        return memo[pid]
-    child_ids = tgd.children_of(pid)
-    if not child_ids:
-        result = [Pattern(pid)]
-    else:
-        per_child_options = [
-            _patterns_for_part(tgd, child, k, budget, memo) for child in child_ids
+    patterns: dict[int, list[Pattern]] = {}
+    for pid in reversed(tgd.part_ids()):
+        child_ids = tgd.children_of(pid)
+        if not child_ids:
+            patterns[pid] = [Pattern(pid)]
+            continue
+        options = [pattern for child in child_ids for pattern in patterns.pop(child)]
+        # Charge the whole part up front: an over-budget part fails before
+        # it enumerates anything.
+        budget.charge((k + 1) ** len(options))
+        # Every multiset over the options, each multiplicity 0..k, the first
+        # option's varying slowest.
+        copies = [[(pattern,) * m for m in range(k + 1)] for pattern in options]
+        patterns[pid] = [
+            Pattern(pid, tuple(chain.from_iterable(choice)))
+            for choice in product(*copies)
         ]
-        result = []
-
-        def combine(index: int, accumulated: tuple[Pattern, ...]):
-            if index == len(per_child_options):
-                budget.charge()
-                result.append(Pattern(pid, accumulated))
-                return
-            for multiset in _multiplicity_choices(per_child_options[index], k, budget):
-                extra: tuple[Pattern, ...] = ()
-                for pattern, multiplicity in multiset:
-                    extra = extra + (pattern,) * multiplicity
-                combine(index + 1, accumulated + extra)
-
-        combine(0, ())
-    memo[pid] = result
-    return result
+    return patterns[1]
 
 
 def enumerate_k_patterns(
@@ -293,7 +272,7 @@ def enumerate_k_patterns(
     if k < 1:
         raise DependencyError("k must be at least 1")
     budget = _Budget(max_patterns)
-    patterns = _patterns_for_part(tgd, 1, k, budget, {})
+    patterns = _root_patterns(tgd, k, budget)
     return sorted(patterns, key=lambda p: (p.node_count, p.sort_key()))
 
 

@@ -267,12 +267,8 @@ def fixpoint_chase(
         )
         return finish(store.to_instance(), rounds, reached)
     if choice.backend == "sql":
-        from repro.engine.sql_backend import (
-            check_sql_backend_supported,
-            sql_fixpoint_chase,
-        )
+        from repro.engine.sql_backend import sql_fixpoint_chase
 
-        check_sql_backend_supported(clauses, what="fixpoint chase")
         result, rounds, reached = sql_fixpoint_chase(
             instance,
             clauses,

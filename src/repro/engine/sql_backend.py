@@ -14,7 +14,9 @@ Three entry points:
   of a clause program: evaluate every clause over the ``src_``-prefixed
   source tables, insert into the ``tgt_``-prefixed target tables, decode.
   Matches :func:`repro.engine.chase.chase` fact for fact when given
-  :func:`~repro.engine.chase.compile_clause_program`'s output.
+  :func:`~repro.engine.chase.compile_clause_program`'s output.  Its CREATE
+  TABLE and ``INSERT ... SELECT`` text comes from :func:`exchange_sql`,
+  which is also what :mod:`repro.export.sql` (and ``repro sql``) prints.
 - :func:`sql_fixpoint_chase` -- the recursive (same-schema) case as a
   **semi-naive delta loop**: per relation ``R`` the backend keeps ``R``
   (all facts), ``R__delta`` (the previous round's new facts) and
@@ -34,12 +36,11 @@ Values cross the SQL boundary through an **injective textual encoding**
 (:func:`encode_value` / :func:`decode_value`): constants are tagged ``c``,
 labeled nulls ``n``, and ground Skolem terms ``f`` with *length-prefixed*
 components, so constants whose names contain ``,``/``(``/``)`` can never
-collide with (or inside) a generated Skolem label -- the collision the
-naive string concatenation of early ``export/sql.py`` versions allowed.
-Because the encoding is injective and parseable, results decode back into
-the hash-consed value objects of :mod:`repro.logic`, and the SQL backend
-returns *exactly* the fact set the tuple engines produce (not merely an
-isomorphic copy).
+collide with (or inside) a generated Skolem label, and no constant can
+equal a Skolem label (their tags differ).  Because the encoding is
+injective and parseable, results decode back into the hash-consed value
+objects of :mod:`repro.logic`, and the SQL backend returns *exactly* the
+fact set the tuple engines produce (not merely an isomorphic copy).
 
 A fourth entry point, :func:`sql_core`, pushes *core computation* down
 (following the "Laconic schema mappings" observation that cores of the
@@ -60,7 +61,7 @@ from __future__ import annotations
 import re
 import sqlite3
 from collections import deque
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro import perf
 from repro.errors import BudgetExceeded, ChaseError, DependencyError, EgdViolation
@@ -96,6 +97,11 @@ def _check_identifier(name: str) -> str:
 
 def _sql_literal(text: str) -> str:
     return "'" + text.replace("'", "''") + "'"
+
+
+def _create_table(name: str, arity: int) -> str:
+    columns = ", ".join(f"c{i} TEXT" for i in range(max(arity, 1)))
+    return f'CREATE TABLE "{name}" ({columns})'
 
 
 # ------------------------------------------------------------ value encoding
@@ -313,8 +319,7 @@ class _Session:
         self.cursor.executemany(statement, rows)
 
     def create_table(self, name: str, arity: int) -> None:
-        columns = ", ".join(f"c{i} TEXT" for i in range(max(arity, 1)))
-        self.execute(f'CREATE TABLE "{name}" ({columns})')
+        self.execute(_create_table(name, arity))
 
     def create_indexes(self, name: str, arity: int) -> None:
         for i in range(arity):
@@ -353,6 +358,56 @@ class _Session:
 # ------------------------------------------------------- single-pass exchange
 
 
+class ExchangeSQL(NamedTuple):
+    """The statements of a single-pass exchange, in execution order.
+
+    Relation ``R`` is read from table ``src_R`` and written to ``tgt_R``;
+    every column is TEXT holding :func:`encode_value` text.
+    """
+
+    source_tables: dict[str, int]  #: source relation -> arity
+    target_tables: dict[str, int]  #: head relation -> arity
+    create_tables: list[str]  #: source tables first, then target tables
+    inserts: list[str]  #: one ``INSERT ... SELECT`` per clause head atom
+
+
+def exchange_sql(
+    clauses: Sequence[SOClause], source: Instance | None = None
+) -> ExchangeSQL:
+    """Compile a single-pass clause program to its SQL statements.
+
+    *source* adds tables for relations that only the source instance uses
+    and checks its relation names and arities.  Raises
+    :class:`SQLCompileError` if the program (or source) cannot be compiled.
+
+        >>> from repro.engine.chase import compile_clause_program
+        >>> from repro.logic.parser import parse_tgd
+        >>> exchange_sql(compile_clause_program([parse_tgd("S(x,y) -> R(y,x)")])).inserts
+        ['INSERT INTO "tgt_R" SELECT DISTINCT a0.c1, a0.c0 FROM "src_S" AS a0']
+    """
+    compiled = compile_clauses(clauses)
+    arities = _collect_arities(source if source is not None else (), clauses)
+    source_relations = set(source.relations()) if source is not None else set()
+    for clause in clauses:
+        source_relations.update(atom.relation for atom in clause.body)
+    target_relations = {
+        relation for clause in compiled for relation, _ in clause.heads
+    }
+    source_tables = {r: arities[r] for r in sorted(source_relations)}
+    target_tables = {r: arities[r] for r in sorted(target_relations)}
+    create_tables = [
+        _create_table(f"src_{r}", arity) for r, arity in source_tables.items()
+    ] + [_create_table(f"tgt_{r}", arity) for r, arity in target_tables.items()]
+    inserts = [
+        statement
+        for clause in compiled
+        for statement in clause.insert_statements(
+            lambda i, clause=clause: f"src_{clause.body_relations[i]}", "tgt_", ""
+        )
+    ]
+    return ExchangeSQL(source_tables, target_tables, create_tables, inserts)
+
+
 def sql_execute_exchange(source: Instance, clauses: Sequence[SOClause]) -> Instance:
     """Run a single-pass (source-to-target) clause program on SQLite.
 
@@ -361,34 +416,24 @@ def sql_execute_exchange(source: Instance, clauses: Sequence[SOClause]) -> Insta
     for s-t tgds over overlapping schemas) is matched strictly against the
     *source* state -- the single-pass semantics of
     :func:`repro.engine.chase.chase`, which this function replays exactly.
+    The statements are :func:`exchange_sql`'s; a program it cannot compile
+    raises :class:`~repro.errors.ChaseError`.
     """
-    compiled = compile_clauses(clauses)
-    arities = _collect_arities(source, clauses)
-    source_relations = set(source.relations())
-    for clause in clauses:
-        source_relations.update(atom.relation for atom in clause.body)
-    target_relations = {
-        relation for clause in compiled for relation, _ in clause.heads
-    }
+    try:
+        program = exchange_sql(clauses, source)
+    except SQLCompileError as exc:
+        raise ChaseError(f"exchange cannot run on the SQL backend: {exc}") from exc
     session = _Session()
     try:
-        for relation in sorted(source_relations):
-            session.create_table(f"src_{relation}", arities[relation])
-        for relation in sorted(target_relations):
-            session.create_table(f"tgt_{relation}", arities[relation])
-        for relation in sorted(source_relations):
-            session.load_facts(
-                f"src_{relation}", arities[relation], source.facts_of(relation)
-            )
-            session.create_indexes(f"src_{relation}", arities[relation])
-        for clause in compiled:
-            for statement in clause.insert_statements(
-                lambda i, clause=clause: f"src_{clause.body_relations[i]}",
-                "tgt_", "",
-            ):
-                session.execute(statement)
+        for statement in program.create_tables:
+            session.execute(statement)
+        for relation, arity in program.source_tables.items():
+            session.load_facts(f"src_{relation}", arity, source.facts_of(relation))
+            session.create_indexes(f"src_{relation}", arity)
+        for statement in program.inserts:
+            session.execute(statement)
         facts: list[Atom] = []
-        for relation in sorted(target_relations):
+        for relation in program.target_tables:
             facts.extend(session.read_facts(f"tgt_{relation}", relation))
         return Instance(facts)
     finally:
@@ -417,10 +462,16 @@ def sql_fixpoint_chase(
     evaluates one delta-seeded statement per (clause, body position) --
     ``FROM R__delta AS a_j`` with the other aliases over the full tables --
     and rotates ``R__next EXCEPT R`` into ``R__delta``.  *budget* caps the
-    total fact count across rounds (:class:`~repro.errors.BudgetExceeded`).
+    total fact count across rounds (:class:`~repro.errors.BudgetExceeded`);
+    a program that cannot be compiled raises :class:`~repro.errors.ChaseError`.
     """
-    compiled = compile_clauses(clauses)
-    arities = _collect_arities(instance, clauses)
+    try:
+        compiled = compile_clauses(clauses)
+        arities = _collect_arities(instance, clauses)
+    except SQLCompileError as exc:
+        raise ChaseError(
+            f"fixpoint chase cannot run on the SQL backend: {exc}"
+        ) from exc
     head_relations = sorted({r for clause in compiled for r, _ in clause.heads})
     session = _Session()
     try:
@@ -765,16 +816,10 @@ def sql_core(instance: Instance) -> Instance:
         session.close()
 
 
-def check_sql_backend_supported(clauses: Iterable[SOClause], *, what: str) -> None:
-    """Raise a :class:`~repro.errors.ChaseError` if *clauses* cannot push down."""
-    try:
-        compile_clauses(clauses)
-    except DependencyError as exc:
-        raise ChaseError(f"{what} cannot run on the SQL backend: {exc}") from exc
-
-
 __all__ = [
     "SQLCompileError",
+    "ExchangeSQL",
+    "exchange_sql",
     "encode_value",
     "decode_value",
     "sql_compilable",
@@ -783,5 +828,4 @@ __all__ = [
     "sql_execute_exchange",
     "sql_fixpoint_chase",
     "sql_chase_egds",
-    "check_sql_backend_supported",
 ]

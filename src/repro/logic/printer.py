@@ -44,13 +44,17 @@ def format_tgd(tgd) -> str:
 
 
 def format_nested_tgd(tgd) -> str:
-    """Format a :class:`~repro.logic.nested.NestedTgd` with nested parentheses."""
+    """Format a :class:`~repro.logic.nested.NestedTgd` with nested parentheses.
 
-    def format_part(pid: int) -> str:
+    Parts are formatted in reverse preorder (children first), without
+    recursion, so a tgd of any nesting depth the parser accepts prints.
+    """
+    texts: dict[int, str] = {}
+    for pid in reversed(tgd.part_ids()):
         part = tgd.part(pid)
         body = format_conjunction(part.body)
         pieces = [format_atom(a) for a in part.head]
-        pieces.extend(f"({format_part(child)})" for child in tgd.children_of(pid))
+        pieces.extend(f"({texts.pop(child)})" for child in tgd.children_of(pid))
         conclusion = " & ".join(pieces) if pieces else "T()"
         if len(pieces) > 1:
             conclusion = f"({conclusion})"
@@ -58,10 +62,10 @@ def format_nested_tgd(tgd) -> str:
             names = ", ".join(v.name for v in part.exist_vars)
             if len(pieces) == 1:
                 conclusion = f"({conclusion})"
-            return f"{body} -> exists {names} . {conclusion}"
-        return f"{body} -> {conclusion}"
-
-    return format_part(1)
+            texts[pid] = f"{body} -> exists {names} . {conclusion}"
+        else:
+            texts[pid] = f"{body} -> {conclusion}"
+    return texts[1]
 
 
 def format_so_tgd(so_tgd) -> str:

@@ -138,8 +138,12 @@ class TestCommands:
         code = main(["sql", "--dep", "S(x,y) -> R(y,x)"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "CREATE TABLE S" in out
-        assert "INSERT INTO R SELECT DISTINCT a0.c1, a0.c0 FROM S AS a0;" in out
+        assert 'CREATE TABLE "src_S" (c0 TEXT, c1 TEXT);' in out
+        assert 'CREATE TABLE "tgt_R" (c0 TEXT, c1 TEXT);' in out
+        assert (
+            'INSERT INTO "tgt_R" SELECT DISTINCT a0.c1, a0.c0 FROM "src_S" AS a0;'
+            in out
+        )
 
     def test_sql_rejects_so_tgds(self, capsys):
         code = main(["sql", "--dep", "S(x,y) -> R(f(x), f(y))"])

@@ -113,6 +113,26 @@ class TestNestingDepth:
         tgd = parse_nested_tgd("S(x) -> " + "(" * 1000 + "R(x)" + ")" * 1000)
         assert tgd.depth() == 1
 
+    def test_deepest_accepted_nesting_prints_and_round_trips(self):
+        tgd = parse_nested_tgd(_nested_chain(MAX_NESTING_DEPTH))
+        assert parse_nested_tgd(str(tgd)) == tgd
+
+    def test_deepest_accepted_nesting_lints(self, capsys):
+        from repro.cli import main
+
+        assert main(["lint", "--dep", _nested_chain(MAX_NESTING_DEPTH)]) == 0
+        assert "0 error(s)" in capsys.readouterr().out
+
+    def test_deepest_accepted_nesting_glav_hits_the_pattern_limit(self, capsys):
+        # Its 1-patterns are a tower of exponentials in the depth, so the
+        # documented ResourceLimitExceeded (exit 2) is the answer.
+        from repro.cli import main
+
+        assert main(["glav", "--dep", _nested_chain(MAX_NESTING_DEPTH)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: resource limit exceeded: more than"
+        )
+
     def test_cli_reports_the_depth_without_a_traceback(self, tmp_path):
         path = tmp_path / "deep.txt"
         path.write_text(_nested_chain(400))
